@@ -10,7 +10,7 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from bmsim.errors import ScenarioValidationError
 from bmsim.membership import Configuration, NodeId, max_faults
@@ -20,9 +20,9 @@ from bmsim.node import Behavior, BftNode
 @dataclass
 class CorruptionEntry:
     node: NodeId
-    behaviors: tuple[Behavior, ...]
+    behaviors: tuple[Behavior, ...] = ()
     # exactly one trigger form
-    at_time: float | None = None
+    at_time: float | None = field(default=None, metadata={"ge": 0.0})
     after_retirement: bool = False
 
     def describe(self) -> str:

@@ -12,7 +12,7 @@ from scipy.optimize import least_squares
 
 from bmsim.errors import InvalidInputError
 from bmsim.ledger import GasSchedule, PriceModel, usd_cost
-from bmsim.membership import Policy
+from bmsim.membership import Configuration, Policy, policy_threshold
 from bmsim.metrics import (
     BLOCKS_HEADER,
     configs_csv,
@@ -63,22 +63,9 @@ def write_result_csvs(
     confirmation latency, reproducing the measurement shortcut.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    joins = result.joins
-    if skip_confirmation is not None:
-        text = joins_csv(joins)
-        lines = text.splitlines()
-        fixed = [lines[0]]
-        for line, record in zip(lines[1:], joins):
-            parts = line.split(",")
-            parts[3] = f"{skip_confirmation:.6f}"
-            fixed.append(",".join(parts))
-        joins_text = "\n".join(fixed) + "\n"
-    else:
-        joins_text = joins_csv(joins)
-
     paths = {}
     contents = {
-        "joins.csv": joins_text,
+        "joins.csv": joins_csv(result.joins, skip_confirmation),
         "votes.csv": votes_csv(result.votes),
         "updates.csv": updates_csv(result.updates, result.price),
         "configs.csv": configs_csv(result.configs),
@@ -204,20 +191,14 @@ def attack_demo(mode: str, seeds: int | list[int] = 100, out: str | None = None,
 
 def growth_update_events(policy: Policy, from_size: int, to_size: int) -> list[tuple[int, int, int]]:
     """(new_size, published_size, batch) for each registry update during a
-    paced single-join growth run.  Mirrors the replica's trigger arithmetic."""
+    paced single-join growth run, from the replica's announcement threshold."""
     events = []
     pub = from_size
     cur = from_size
     while cur < to_size:
         cur += 1
         batch = cur - pub
-        f_cur = (cur - 1) // 3
-        if policy is Policy.EVERY:
-            t = 1
-        elif policy is Policy.HALF_F:
-            t = max(1, f_cur // 2)
-        else:
-            raise InvalidInputError("growth events need the every / halff policy")
+        t = policy_threshold(policy, Configuration(0, tuple(f"n{i}" for i in range(cur))))
         if batch >= t:
             events.append((cur, pub, batch))
             pub = cur

@@ -175,7 +175,6 @@ class Ledger:
         # (height, config) for every stored-configuration change, genesis first
         self.config_log: list[tuple[int, Configuration]] = [(0, contract.c_cur)]
         self._config_heights: list[int] = [0]
-        self.update_heights: list[tuple[int, float]] = []
         self._registration_heights: dict[NodeId, int] = {}
         self._observers: list[tuple[ObserverView, Callable[[], None] | None]] = []
         self._block_hooks: list[Callable[[Block], None]] = []
@@ -233,7 +232,6 @@ class Ledger:
             for event in report.updates:
                 self.config_log.append((block.height, event.new))
                 self._config_heights.append(block.height)
-                self.update_heights.append((block.height, self.sim.now))
         else:
             raise InvalidInputError(f"unknown transaction kind {tx.kind!r}")
         gas = self._meter(report)

@@ -88,10 +88,7 @@ class ClientOutcome:
 class RunMonitor:
     """Collects metrics and enforces cross-node invariants during a run."""
 
-    def __init__(self, enforce_overlap: bool = True, enforce_checkpoint_bound: bool = False,
-                 checkpoint_interval: float = 20.0):
-        self.enforce_overlap = enforce_overlap
-        self.enforce_checkpoint_bound = enforce_checkpoint_bound
+    def __init__(self, checkpoint_interval: float = 20.0):
         self.checkpoint_interval = checkpoint_interval
 
         self.byzantine: set[NodeId] = set()
@@ -177,14 +174,13 @@ class RunMonitor:
                 record.processed_at = at
                 record.size = len(config.members)
                 record.t = t
-                if self.enforce_checkpoint_bound and record.ordered_at:
-                    if record.checkpoint_latency > self.checkpoint_interval + 1e-9:
-                        self._fail(
-                            f"checkpoint latency {record.checkpoint_latency:.3f}s "
-                            f"exceeds the interval for join {req_node}"
-                        )
+                if record.ordered_at and record.checkpoint_latency > self.checkpoint_interval + 1e-9:
+                    self._fail(
+                        f"checkpoint latency {record.checkpoint_latency:.3f}s "
+                        f"exceeds the interval for join {req_node}"
+                    )
 
-        if self.enforce_overlap and not self.bypass and self.contract is not None:
+        if not self.bypass and self.contract is not None:
             published = self.contract.c_cur
             if not overlap_ok(published, config):
                 self._fail(
@@ -248,9 +244,18 @@ def rows_to_csv(header: list[str], rows: list[tuple]) -> str:
     return buffer.getvalue()
 
 
-def joins_csv(records: list[JoinRecord]) -> str:
+def joins_csv(records: list[JoinRecord], confirm_latency: float | None = None) -> str:
+    """`confirm_latency`, when given, replaces every realized confirmation
+    latency with that constant."""
     rows = [
-        (r.size, r.t, r.tx_latency, r.confirm_latency, r.ordering_latency, r.checkpoint_latency)
+        (
+            r.size,
+            r.t,
+            r.tx_latency,
+            r.confirm_latency if confirm_latency is None else float(confirm_latency),
+            r.ordering_latency,
+            r.checkpoint_latency,
+        )
         for r in records
     ]
     return rows_to_csv(JOINS_HEADER, rows)

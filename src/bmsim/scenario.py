@@ -1,80 +1,93 @@
 """Scenario files: experiment inputs, validation, and the long-range attack
 generator.
 
-Scenarios are plain JSON.  Validation happens before any event runs and names
-the offending field.
+Scenarios are plain JSON, and the dataclass declarations below are their
+schema.  Each field states its type, its default, its JSON path when it sits
+in a section (`block`, `tx_inclusion`, `network`) and its range (`gt`, `ge`,
+`le`, `choices`).  Parsing rejects unknown keys and wrongly typed values;
+validation checks the ranges and the cross-field rules.  Both happen before
+any event runs and name the offending field.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field, asdict
+import math
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from bmsim.adversary import CorruptionEntry, validate_schedule
-from bmsim.errors import ScenarioValidationError
+from bmsim.client import ClientMode
+from bmsim.errors import InvalidInputError, ScenarioValidationError
 from bmsim.ledger import GasSchedule, PriceModel
 from bmsim.membership import Configuration, Policy, max_batch_threshold, max_correct_leavers, policy_threshold
 from bmsim.node import Behavior
+from bmsim.simcore import TruncatedNormal
 
-DEFAULT_BLOCK_MEAN = 15.0
-DEFAULT_BLOCK_SD = 2.0
-DEFAULT_BLOCK_MIN = 1.0
-DEFAULT_TX_MEAN = 27.7
-DEFAULT_TX_SD = 24.9
-DEFAULT_TX_MIN = 0.0
-DEFAULT_DEPTH = 37
-DEFAULT_CHECKPOINT = 20.0
-DEFAULT_TOB_LATENCY = 0.95
-DEFAULT_COST = 100
+
+def _spec(default=MISSING, *, factory=MISSING, path: tuple[str, str] | None = None, **checks):
+    """A scenario field: its default, its JSON path when that is not the
+    field name, and its range checks (`gt`, `ge`, `le`, `choices`)."""
+    metadata = {**checks, "path": path} if path else checks
+    return field(default=default, default_factory=factory, metadata=metadata)
 
 
 @dataclass
 class ChurnOp:
-    op: str            # "join" | "leave" | "evict"
+    op: str = _spec(choices=("join", "leave", "evict"))
     node: str
     by: str | None = None   # evict: the member that submits the request
 
 
 @dataclass
 class ClientSettings:
-    mode: str = "with_bms"           # "with_bms" | "no_bms"
-    p_bound: float | None = None     # defaults to publish grace period
-    reconnect_offset: float = 60.0   # after corruption completes
+    mode: str = _spec("with_bms", choices=tuple(m.value for m in ClientMode))
+    p_bound: float | None = _spec(None, gt=0.0)    # defaults to publish grace period
+    reconnect_offset: float = _spec(60.0, ge=0.0)  # after corruption completes
 
 
 @dataclass
 class ScenarioConfig:
     name: str = "scenario"
     seed: int = 1
-    initial_size: int = 4
-    churn: list[ChurnOp] = field(default_factory=list)
+    initial_size: int = _spec(4, ge=1)
+    churn: list[ChurnOp] = _spec(factory=list)
     policy: Policy = Policy.EVERY
-    fixed_t: int | None = None
-    checkpoint_interval: float = DEFAULT_CHECKPOINT
-    confirmation_depth: int = DEFAULT_DEPTH
-    block_mean: float = DEFAULT_BLOCK_MEAN
-    block_sd: float = DEFAULT_BLOCK_SD
-    block_min: float = DEFAULT_BLOCK_MIN
-    tx_mean: float = DEFAULT_TX_MEAN
-    tx_sd: float = DEFAULT_TX_SD
-    tx_min: float = DEFAULT_TX_MIN
-    gas: GasSchedule = field(default_factory=GasSchedule)
-    price: PriceModel = field(default_factory=PriceModel)
-    gst: float = 0.0
-    delta: float = 0.05
-    pre_gst_drop_probability: float = 0.0
-    pre_gst_max_delay: float = 1.0
-    tob_latency: float = DEFAULT_TOB_LATENCY
-    registration_cost: int = DEFAULT_COST
-    registration_fee: int = DEFAULT_COST
-    corruption: list[CorruptionEntry] = field(default_factory=list)
+    fixed_t: int | None = _spec(None, ge=1)
+    checkpoint_interval: float = _spec(20.0, gt=0.0)
+    confirmation_depth: int = _spec(37, ge=0)
+    block_mean: float = _spec(15.0, path=("block", "mean"))
+    block_sd: float = _spec(2.0, path=("block", "sd"), gt=0.0)
+    block_min: float = _spec(1.0, path=("block", "min"), ge=0.0)
+    tx_mean: float = _spec(27.7, path=("tx_inclusion", "mean"))
+    tx_sd: float = _spec(24.9, path=("tx_inclusion", "sd"), gt=0.0)
+    tx_min: float = _spec(0.0, path=("tx_inclusion", "min"), ge=0.0)
+    gas: GasSchedule = _spec(factory=GasSchedule)
+    price: PriceModel = _spec(factory=PriceModel)
+    gst: float = _spec(0.0, path=("network", "gst"), ge=0.0)
+    delta: float = _spec(0.05, path=("network", "delta"), gt=0.0)
+    pre_gst_drop_probability: float = _spec(
+        0.0, path=("network", "pre_gst_drop_probability"), ge=0.0, le=1.0
+    )
+    pre_gst_max_delay: float = _spec(1.0, path=("network", "pre_gst_max_delay"), ge=0.0)
+    tob_latency: float = _spec(0.95, ge=0.0)
+    registration_cost: int = _spec(100, ge=0)
+    registration_fee: int | None = _spec(None, ge=0)   # None: registration_cost
+    corruption: list[CorruptionEntry] = _spec(factory=list)
     client: ClientSettings | None = None
     leavers_vote: bool = True
     bypass_validation: bool = False
-    revote_timeout: float | None = None
-    publish_grace: float | None = None   # the grace period P
-    valid_poms: list[str] = field(default_factory=list)
-    max_sim_time: float = 2_000_000.0
+    revote_timeout: float | None = _spec(None, gt=0.0)
+    publish_grace: float | None = _spec(None, gt=0.0)   # the grace period P
+    valid_poms: list[str] = _spec(factory=list)
+    max_sim_time: float = _spec(2_000_000.0, gt=0.0)
+
+    def __post_init__(self):
+        if self.registration_fee is None:
+            self.registration_fee = self.registration_cost
 
     # -- derived defaults -----------------------------------------------------
 
@@ -106,35 +119,49 @@ class ScenarioConfig:
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:
-        if self.initial_size < 1:
-            raise ScenarioValidationError("initial_size", "must be at least 1")
+        """Field ranges, then the rules that relate fields to each other."""
+        _check_ranges(self)
         if self.registration_fee < self.registration_cost:
             raise ScenarioValidationError(
                 "registration_fee", "below registration_cost: every join would be rejected"
             )
-        if self.policy is Policy.FIXED and (self.fixed_t is None or self.fixed_t < 1):
+        if self.policy is Policy.FIXED and self.fixed_t is None:
             raise ScenarioValidationError("fixed_t", "fixed policy needs fixed_t >= 1")
+        for section, mean, sd, minimum in (
+            ("block", self.block_mean, self.block_sd, self.block_min),
+            ("tx_inclusion", self.tx_mean, self.tx_sd, self.tx_min),
+        ):
+            try:
+                TruncatedNormal(mean, sd, minimum)
+            except InvalidInputError as exc:
+                raise ScenarioValidationError(section, str(exc)) from None
 
         members = set(self.initial_members())
         for i, op in enumerate(self.churn):
             label = f"churn[{i}]"
-            if op.op not in ("join", "leave", "evict"):
-                raise ScenarioValidationError(label, f"unknown op {op.op!r}")
             if op.op == "join":
                 if op.node in members:
                     raise ScenarioValidationError(label, f"{op.node} is already a member")
                 members.add(op.node)
-            else:
-                if op.node not in members:
-                    raise ScenarioValidationError(label, f"{op.node} is not a member at that point")
-                if op.op == "evict" and op.node not in self.valid_poms:
+                continue
+            if op.node not in members:
+                raise ScenarioValidationError(label, f"{op.node} is not a member at that point")
+            if len(members) == 1:
+                raise ScenarioValidationError(label, "would leave the cluster empty")
+            if op.op == "evict":
+                if op.node not in self.valid_poms:
                     raise ScenarioValidationError(label, f"no valid misbehavior proof for {op.node}")
-                members.remove(op.node)
+                if op.by is not None and (op.by == op.node or op.by not in members):
+                    raise ScenarioValidationError(label, f"submitter {op.by} is not another member")
+            members.remove(op.node)
 
         declared = set(self.initial_members()) | {op.node for op in self.churn if op.op == "join"}
         for i, entry in enumerate(self.corruption):
+            label = f"corruption[{i}]"
             if entry.node not in declared:
-                raise ScenarioValidationError(f"corruption[{i}]", f"unknown node {entry.node}")
+                raise ScenarioValidationError(label, f"unknown node {entry.node}")
+            if (entry.at_time is None) == (not entry.after_retirement):
+                raise ScenarioValidationError(label, "needs exactly one of at_time / after_retirement")
 
         if not self.bypass_validation:
             for member_set in self.projected_member_sets():
@@ -149,150 +176,122 @@ class ScenarioConfig:
 
         validate_schedule(self.corruption, self.projected_member_sets(), self.bypass_validation)
 
-    # -- serialization ---------------------------------------------------------------
 
-    def to_json(self) -> str:
-        def entry_dict(entry: CorruptionEntry) -> dict:
-            d = {"node": entry.node, "behaviors": [b.value for b in entry.behaviors]}
-            if entry.at_time is not None:
-                d["at_time"] = entry.at_time
-            if entry.after_retirement:
-                d["after_retirement"] = True
-            return d
+# ---------------------------------------------------------------------------
+# The schema walk
+# ---------------------------------------------------------------------------
 
-        data = {
-            "name": self.name,
-            "seed": self.seed,
-            "initial_size": self.initial_size,
-            "churn": [asdict(op) for op in self.churn],
-            "policy": self.policy.value,
-            "fixed_t": self.fixed_t,
-            "checkpoint_interval": self.checkpoint_interval,
-            "confirmation_depth": self.confirmation_depth,
-            "block": {"mean": self.block_mean, "sd": self.block_sd, "min": self.block_min},
-            "tx_inclusion": {"mean": self.tx_mean, "sd": self.tx_sd, "min": self.tx_min},
-            "gas": self.gas.as_dict(),
-            "price": {"gas_price_gwei": self.price.gas_price_gwei, "eth_usd": self.price.eth_usd},
-            "network": {
-                "gst": self.gst,
-                "delta": self.delta,
-                "pre_gst_drop_probability": self.pre_gst_drop_probability,
-                "pre_gst_max_delay": self.pre_gst_max_delay,
-            },
-            "tob_latency": self.tob_latency,
-            "registration_cost": self.registration_cost,
-            "registration_fee": self.registration_fee,
-            "corruption": [entry_dict(e) for e in self.corruption],
-            "client": asdict(self.client) if self.client else None,
-            "leavers_vote": self.leavers_vote,
-            "bypass_validation": self.bypass_validation,
-            "revote_timeout": self.revote_timeout,
-            "publish_grace": self.publish_grace,
-            "valid_poms": self.valid_poms,
-            "max_sim_time": self.max_sim_time,
-        }
-        return json.dumps(data, indent=2)
+_CHECKS = {
+    "gt": (operator.gt, "must be > {}"),
+    "ge": (operator.ge, "must be >= {}"),
+    "le": (operator.le, "must be <= {}"),
+    "choices": (lambda value, choices: value in choices, "must be one of {}"),
+}
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    sc = ScenarioConfig()
-    sc.name = data.get("name", sc.name)
-    sc.seed = data.get("seed", sc.seed)
-    sc.initial_size = data.get("initial_size", sc.initial_size)
+def _join(*parts: str) -> str:
+    return ".".join(part for part in parts if part)
 
-    for i, op in enumerate(data.get("churn", [])):
-        if "op" not in op or "node" not in op:
-            raise ScenarioValidationError(f"churn[{i}]", "needs 'op' and 'node'")
-        sc.churn.append(ChurnOp(op=op["op"], node=op["node"], by=op.get("by")))
 
-    policy = data.get("policy", "every")
-    try:
-        sc.policy = Policy(policy)
-    except ValueError:
-        raise ScenarioValidationError("policy", f"unknown policy {policy!r}") from None
-    sc.fixed_t = data.get("fixed_t")
+def _parse(cls, data, where: str = ""):
+    """Build the dataclass `cls` from a JSON object, one declared field at a
+    time; `where` is the object's path in the scenario file."""
+    if not isinstance(data, dict):
+        raise ScenarioValidationError(where or "file", "expected a JSON object")
+    specs = {f.metadata.get("path", (f.name,)): f for f in fields(cls)}
+    sections = {path[0] for path in specs if len(path) > 1}
+    given = {}
+    for key, value in data.items():
+        if key not in sections:
+            given[(key,)] = value
+        elif isinstance(value, dict):
+            given.update({(key, sub): v for sub, v in value.items()})
+        else:
+            raise ScenarioValidationError(_join(where, key), "expected a JSON object")
 
-    sc.checkpoint_interval = data.get("checkpoint_interval", sc.checkpoint_interval)
-    sc.confirmation_depth = data.get("confirmation_depth", sc.confirmation_depth)
-    block = data.get("block", {})
-    sc.block_mean = block.get("mean", sc.block_mean)
-    sc.block_sd = block.get("sd", sc.block_sd)
-    sc.block_min = block.get("min", sc.block_min)
-    tx = data.get("tx_inclusion", {})
-    sc.tx_mean = tx.get("mean", sc.tx_mean)
-    sc.tx_sd = tx.get("sd", sc.tx_sd)
-    sc.tx_min = tx.get("min", sc.tx_min)
-
-    if "gas" in data:
-        known = GasSchedule().as_dict()
-        for key in data["gas"]:
-            if key not in known:
-                raise ScenarioValidationError("gas", f"unknown gas constant {key!r}")
-        sc.gas = GasSchedule(**{**known, **data["gas"]})
-    if "price" in data:
-        sc.price = PriceModel(**data["price"])
-
-    network = data.get("network", {})
-    sc.gst = network.get("gst", sc.gst)
-    sc.delta = network.get("delta", sc.delta)
-    sc.pre_gst_drop_probability = network.get("pre_gst_drop_probability", sc.pre_gst_drop_probability)
-    sc.pre_gst_max_delay = network.get("pre_gst_max_delay", sc.pre_gst_max_delay)
-
-    sc.tob_latency = data.get("tob_latency", sc.tob_latency)
-    sc.registration_cost = data.get("registration_cost", sc.registration_cost)
-    sc.registration_fee = data.get("registration_fee", sc.registration_cost)
-    if "registration_fee" in data:
-        sc.registration_fee = data["registration_fee"]
-
-    for i, entry in enumerate(data.get("corruption", [])):
-        label = f"corruption[{i}]"
-        if "node" not in entry:
-            raise ScenarioValidationError(label, "needs 'node'")
-        behaviors = []
-        for b in entry.get("behaviors", []):
-            try:
-                behaviors.append(Behavior(b))
-            except ValueError:
-                raise ScenarioValidationError(label, f"unknown behavior {b!r}") from None
-        at_time = entry.get("at_time")
-        after_retirement = entry.get("after_retirement", False)
-        if (at_time is None) == (not after_retirement):
-            raise ScenarioValidationError(label, "needs exactly one of at_time / after_retirement")
-        sc.corruption.append(
-            CorruptionEntry(
-                node=entry["node"],
-                behaviors=tuple(behaviors),
-                at_time=at_time,
-                after_retirement=after_retirement,
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for path, value in given.items():
+        if path not in specs:
+            raise ScenarioValidationError(
+                _join(where, *path[:-1]) or path[-1], f"unknown key {path[-1]!r}"
             )
-        )
+        name = specs[path].name
+        kwargs[name] = _convert(hints[name], value, _join(where, *path))
+    for path, f in specs.items():
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioValidationError(where, f"needs {path[-1]!r}")
+    try:
+        return cls(**kwargs)
+    except InvalidInputError as exc:
+        raise ScenarioValidationError(where, str(exc)) from None
 
-    if data.get("client"):
-        c = data["client"]
-        mode = c.get("mode", "with_bms")
-        if mode not in ("with_bms", "no_bms"):
-            raise ScenarioValidationError("client.mode", f"unknown mode {mode!r}")
-        sc.client = ClientSettings(
-            mode=mode,
-            p_bound=c.get("p_bound"),
-            reconnect_offset=c.get("reconnect_offset", 60.0),
-        )
 
-    sc.leavers_vote = data.get("leavers_vote", sc.leavers_vote)
-    sc.bypass_validation = data.get("bypass_validation", sc.bypass_validation)
-    sc.revote_timeout = data.get("revote_timeout")
-    sc.publish_grace = data.get("publish_grace")
-    sc.valid_poms = data.get("valid_poms", [])
-    sc.max_sim_time = data.get("max_sim_time", sc.max_sim_time)
+def _convert(hint, value, where: str):
+    """Check one JSON value against a field's type and convert it."""
+    if get_origin(hint) is UnionType:   # `X | None`
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    origin = get_origin(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ScenarioValidationError(where, "expected a list")
+        item_hint = get_args(hint)[0]
+        return origin(_convert(item_hint, item, f"{where}[{i}]") for i, item in enumerate(value))
+    if is_dataclass(hint):
+        return _parse(hint, value, where)
+    if issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            names = ", ".join(member.value for member in hint)
+            raise ScenarioValidationError(where, f"unknown value {value!r}, expected one of {names}") from None
+    if hint is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ScenarioValidationError(where, "out of range") from None
+    if type(value) is not hint:   # a bool is not an int, an int not a str
+        raise ScenarioValidationError(where, f"expected {hint.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _check_ranges(record, where: str = "") -> None:
+    """Check each field of `record`, and of the records nested in it, against
+    the range its declaration states."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        path = _join(where, *f.metadata.get("path", (f.name,)))
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioValidationError(path, f"must be finite, got {value}")
+        for key, bound in f.metadata.items():
+            if key in _CHECKS and value is not None:
+                holds, text = _CHECKS[key]
+                if not holds(value, bound):
+                    raise ScenarioValidationError(path, f"{text.format(bound)}, got {value!r}")
+        if is_dataclass(value):
+            _check_ranges(value, path)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if is_dataclass(item):
+                    _check_ranges(item, f"{path}[{i}]")
+
+
+def scenario_from_dict(data) -> ScenarioConfig:
+    """Parse a scenario's JSON object: key names, types and ranges.  The
+    cross-field rules are left to `ScenarioConfig.validate`."""
+    sc = _parse(ScenarioConfig, data)
+    _check_ranges(sc)
     return sc
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioValidationError("file", f"not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or encoding
+        raise ScenarioValidationError("file", str(exc)) from None
     sc = scenario_from_dict(data)
     sc.validate()
     return sc

@@ -9,6 +9,7 @@ delivery takes at most `delta`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import math
@@ -40,8 +41,6 @@ class Envelope:
     sender: str
     receiver: str
     payload: tuple
-    sent_at: SimTime
-    signature: str
 
 
 class AuthRegistry:
@@ -153,8 +152,7 @@ class SimulationCore:
         """Queue a message for delivery under the synchrony model."""
         if not self.auth.known(sender):
             raise InvalidInputError(f"unknown sender {sender!r}")
-        sig = self.auth.sign(sender, payload)
-        env = Envelope(sender, receiver, payload, self.now, sig)
+        env = Envelope(sender, receiver, payload)
         net = self.network
         if self.now >= net.gst:
             deliver_at = self.now + self.rng.uniform(0.0, net.delta)
@@ -193,6 +191,7 @@ def truncated_mean(mu: float, sigma: float, lower: float) -> float:
     return mu + sigma * _phi(a) / tail
 
 
+@functools.lru_cache(maxsize=32)   # a run and its validation solve the same few
 def solve_truncation_location(target_mean: float, sigma: float, lower: float) -> float:
     """Location parameter such that the lower-truncated normal has the target
     mean.  Truncation pulls the mean up, so the location sits at or below the
@@ -222,6 +221,10 @@ class TruncatedNormal:
         if self.sd <= 0:
             raise InvalidInputError("sd must be positive")
         self._location = solve_truncation_location(self.mean, self.sd, self.minimum)
+        # `draw` rejects samples below the minimum; past this point it would
+        # need over a hundred tries per sample, and soon effectively forever
+        if 1.0 - _cdf((self.minimum - self._location) / self.sd) < 0.01:
+            raise InvalidInputError("mean too close to the minimum for this sd")
 
     def draw(self, rng) -> float:
         while True:

@@ -73,7 +73,7 @@ class ChurnDriver:
         self._current_op = op
         run = self.run
         if op.op == "join":
-            node = run.new_node(op.node)
+            node = run._make_node(op.node)
             agent = JoinerAgent(node)
             self._current_agent = agent
             agent.start()
@@ -124,11 +124,7 @@ class SimulationRun:
         genesis = Configuration(0, scenario.initial_members())
         self.genesis = genesis
         self.contract = RegistryContract(genesis, cost=scenario.registration_cost)
-        self.monitor = RunMonitor(
-            enforce_overlap=True,
-            enforce_checkpoint_bound=False,
-            checkpoint_interval=scenario.checkpoint_interval,
-        )
+        self.monitor = RunMonitor(checkpoint_interval=scenario.checkpoint_interval)
         self.monitor.contract = self.contract
         self.monitor.bypass = scenario.bypass_validation
         self.ledger = Ledger(
@@ -181,9 +177,6 @@ class SimulationRun:
         )
         self.nodes[node_id] = node
         return node
-
-    def new_node(self, node_id: str) -> BftNode:
-        return self._make_node(node_id)
 
     def _wire_publications(self) -> None:
         seen = {self.contract.c_cur.key()}
@@ -302,19 +295,6 @@ class SimulationRun:
                 gas_by_key[key] = gas_by_key.get(key, 0) + record.receipt.gas_used
 
         updates = []
-        for event, (height, at) in zip(self.contract.update_log, self.ledger.update_heights):
-            updates.append(
-                UpdateRecord(
-                    size=event.new.size,
-                    joiners=event.members_added,
-                    leavers=event.members_removed,
-                    total_gas=gas_by_key.get(event.new.key(), 0),
-                    number=event.new.number,
-                    height=height,
-                    time=at,
-                )
-            )
-
         configs = [
             ConfigRecord(
                 number=self.genesis.number,
@@ -324,15 +304,27 @@ class SimulationRun:
                 members=self.genesis.members,
             )
         ]
-        for update in updates:
-            event = next(e for e in self.contract.update_log if e.new.number == update.number)
+        # the ledger logs each stored-config change as the contract reports it
+        for event, (height, config) in zip(self.contract.update_log, self.ledger.config_log[1:]):
+            at = self.ledger.blocks[height].produced_at
+            updates.append(
+                UpdateRecord(
+                    size=config.size,
+                    joiners=event.members_added,
+                    leavers=event.members_removed,
+                    total_gas=gas_by_key.get(config.key(), 0),
+                    number=config.number,
+                    height=height,
+                    time=at,
+                )
+            )
             configs.append(
                 ConfigRecord(
-                    number=event.new.number,
-                    size=event.new.size,
-                    height=update.height,
-                    time=update.time,
-                    members=event.new.members,
+                    number=config.number,
+                    size=config.size,
+                    height=height,
+                    time=at,
+                    members=config.members,
                 )
             )
 

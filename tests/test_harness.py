@@ -1,11 +1,14 @@
 """Scenario parsing/validation, CSV schemas, determinism, CLI surfaces."""
 
+import copy
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bmsim.errors import InvalidInputError, ScenarioValidationError
 from bmsim.harness import (
@@ -94,6 +97,113 @@ def test_unknown_gas_constant_rejected():
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(small_scenario_dict(gas={"g_rocket": 5}))
     assert err.value.field == "gas"
+
+
+MALFORMED = [
+    (small_scenario_dict(checkpoint_interval=0), "checkpoint_interval"),
+    (small_scenario_dict(confirmation_depth=-3), "confirmation_depth"),
+    (small_scenario_dict(seed="x"), "seed"),
+    (small_scenario_dict(client={"p_bound": -5}), "client.p_bound"),
+    (small_scenario_dict(polcy="every"), "polcy"),
+    (small_scenario_dict(initial_size="4"), "initial_size"),
+    (small_scenario_dict(initial_size=True), "initial_size"),
+    (small_scenario_dict(price={"foo": 1}), "price"),
+    (small_scenario_dict(block={"sd": 0}), "block.sd"),
+    (small_scenario_dict(network={"delta": 0}), "network.delta"),
+    (small_scenario_dict(network={"delta": float("nan")}), "network.delta"),
+    (small_scenario_dict(tob_latency=-1), "tob_latency"),
+    (small_scenario_dict(tx_inclusion={"mean": 1.0}), "tx_inclusion"),
+    (small_scenario_dict(churn=[{"op": "join", "node": 5}]), "churn[0].node"),
+    ([small_scenario_dict()], "file"),
+]
+
+
+@pytest.mark.parametrize("data, field", MALFORMED, ids=[field for _, field in MALFORMED])
+def test_malformed_scenario_names_field(data, field):
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(data).validate()
+    assert err.value.field == field
+
+
+# A valid scenario that sets every section, small enough to run in well under
+# a second: the fuzz test below replaces one of its values at a time.
+FUZZ_BASE = {
+    "name": "fuzz",
+    "seed": 3,
+    "initial_size": 4,
+    "churn": [{"op": "join", "node": "m0"}, {"op": "evict", "node": "n2", "by": "n0"}],
+    "policy": "every",
+    "fixed_t": None,
+    "checkpoint_interval": 20.0,
+    "confirmation_depth": 4,
+    "block": {"mean": 15.0, "sd": 2.0, "min": 1.0},
+    "tx_inclusion": {"mean": 27.7, "sd": 24.9, "min": 0.0},
+    "gas": {"g_base": 21000, "g_register": 65000},
+    "price": {"gas_price_gwei": 93.1, "eth_usd": 386.1},
+    "network": {"gst": 0.0, "delta": 0.05, "pre_gst_drop_probability": 0.0, "pre_gst_max_delay": 1.0},
+    "tob_latency": 0.95,
+    "registration_cost": 100,
+    "registration_fee": 100,
+    "corruption": [{"node": "n3", "at_time": 5.0, "behaviors": ["silent"], "after_retirement": False}],
+    "client": {"mode": "with_bms", "p_bound": 100.0, "reconnect_offset": 10.0},
+    "leavers_vote": True,
+    "bypass_validation": False,
+    "revote_timeout": 200.0,
+    "publish_grace": 100.0,
+    "valid_poms": ["n2"],
+    "max_sim_time": 3000.0,
+}
+
+
+def _value_paths(value, path=()):
+    """The path of every value inside `value`, containers included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+FUZZ_PATHS = list(_value_paths(FUZZ_BASE))
+MISSPELL = "misspell the key"   # a pool entry that renames the key instead
+# wrong types, negatives, zero, None and unknown keys; the positive values
+# are small, so no accepted case builds a large cluster or a long run
+FUZZ_POOL = [None, True, "x", [], {}, -1, -2.5, 0, 0.0, 1, 2.5, MISSPELL]
+
+
+def _mutated(path, value):
+    data = copy.deepcopy(FUZZ_BASE)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if value is MISSPELL and isinstance(parent, dict):
+        parent["x" + key] = parent.pop(key)
+    else:
+        parent[key] = {"bogus": 1} if value is MISSPELL else value
+    return data
+
+
+def test_fuzz_base_scenario_runs():
+    result = run_scenario(scenario_from_dict(FUZZ_BASE))
+    assert result.completed
+    assert len(result.joins) == 1
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_POOL))
+def test_fuzzed_scenario_is_rejected_or_runs(path, value):
+    try:
+        scenario = scenario_from_dict(_mutated(path, value))
+        scenario.validate()
+    except ScenarioValidationError:
+        return
+    result = run_scenario(scenario)
+    assert result.end_time <= scenario.max_sim_time
 
 
 # -- CSV output -------------------------------------------------------------------
@@ -189,7 +299,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, env=None):
-    """Run `python -m bmsim.cli` from the repo root with `<repo>/src` importable."""
+    """Run `python -m bmsim.cli` from the repo root with `<repo>/src` importable;
+    a run that hangs fails the test with `subprocess.TimeoutExpired`."""
     import os
 
     full_env = dict(os.environ)
@@ -204,6 +315,7 @@ def run_cli(*args, env=None):
         text=True,
         env=full_env,
         cwd=REPO_ROOT,
+        timeout=120,
     )
 
 
@@ -222,6 +334,15 @@ def test_cli_validation_error_exit_code(tmp_path):
     proc = run_cli("run", str(scenario_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
     assert "policy" in proc.stderr
+
+
+def test_cli_malformed_scenario_exits_1_without_traceback(tmp_path):
+    scenario_path = tmp_path / "bad.json"
+    scenario_path.write_text(json.dumps(small_scenario_dict(checkpoint_interval=0)))
+    proc = run_cli("run", str(scenario_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert "checkpoint_interval" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_attack_demo_small(tmp_path):

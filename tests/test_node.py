@@ -4,6 +4,7 @@ checkpoint gating and vote staggering."""
 import pytest
 
 from bmsim.contract import RegistryContract
+from bmsim.errors import InvariantViolation
 from bmsim.ledger import Ledger
 from bmsim.membership import Configuration, Policy
 from bmsim.metrics import RunMonitor
@@ -248,3 +249,18 @@ def test_silent_behavior_drops_everything():
     node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
     node.on_checkpoint()
     assert submitted == []
+
+
+
+def test_monitor_rejects_checkpoint_latency_beyond_interval():
+    monitor = RunMonitor(checkpoint_interval=20.0)
+    monitor.join_started("j1", 0.0, 1.0)
+    monitor.request_ordered(("join", "j1", 1), 10.0, "n0")
+    # exactly one interval between ordering and processing is allowed
+    monitor.node_reconfigured("n0", Configuration(1, ("n0", "n1", "n2", "j1")), ("join", "j1", 1), 30.0, 1)
+    monitor.join_started("j2", 0.0, 1.0)
+    monitor.request_ordered(("join", "j2", 1), 40.0, "n0")
+    with pytest.raises(InvariantViolation, match="checkpoint latency 20.500s"):
+        monitor.node_reconfigured(
+            "n0", Configuration(2, ("n0", "n1", "n2", "j1", "j2")), ("join", "j2", 1), 60.5, 1
+        )

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from bmsim.errors import InvariantViolation, ScenarioValidationError
+from bmsim.errors import InvalidInputError, InvariantViolation, ScenarioValidationError
 from bmsim.harness import (
     COST_ANCHORS,
     DEFAULT_ANCHOR_SIZES,
@@ -115,11 +116,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "calibrate-gas":
-        anchors = None
         if args.anchors:
-            with open(args.anchors, "r", encoding="utf-8") as handle:
-                rows = json.load(handle)
-            anchors = {int(size): (int(gas), float(usd)) for size, gas, usd in rows}
+            try:
+                anchors = load_anchors(args.anchors)
+            except InvalidInputError as exc:
+                print(f"--anchors: {exc}", file=sys.stderr)
+                return 1
         else:
             anchors = {size: COST_ANCHORS[size] for size in DEFAULT_ANCHOR_SIZES}
         result = calibrate_gas(anchors)
@@ -135,6 +137,38 @@ def _dispatch(args) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def load_anchors(path: str) -> dict[int, tuple[int, float]]:
+    """Read an anchors file: a JSON list of [size, gas, usd] rows, every value
+    a positive finite number, with at least two distinct sizes."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            rows = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    if not isinstance(rows, list):
+        raise InvalidInputError(f"{path} must hold a JSON list of [size, gas, usd] rows")
+    anchors = {}
+    for index, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and all(map(_positive_number, row))):
+            raise InvalidInputError(
+                f"row {index} must be [size, gas, usd] with positive numbers, got {row!r}"
+            )
+        size, gas, usd = row
+        anchors[int(size)] = (int(gas), float(usd))
+    if len(anchors) < 2:
+        raise InvalidInputError(f"calibration needs at least two sizes, got {len(anchors)}")
+    return anchors
+
+
+def _positive_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 if __name__ == "__main__":

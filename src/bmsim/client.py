@@ -41,7 +41,6 @@ class ClusterClient:
         self.monitor = monitor
         self.retry_interval = retry_interval
 
-        self.view = ledger.attach_observer()
         self.cached_config: Configuration | None = None
         self.cached_at: float | None = None
         self._published_at_refresh: int | None = None
@@ -54,7 +53,7 @@ class ClusterClient:
     # -- view management ---------------------------------------------------------
 
     def bootstrap(self) -> Configuration:
-        self.cached_config = self.view.stored_config()
+        self.cached_config = self.ledger.confirmed_config()
         self.cached_at = self.sim.now
         self._published_at_refresh = self.cached_config.number
         return self.cached_config

@@ -3,8 +3,8 @@
 Blocks are produced at truncated-normal intervals; submitted transactions
 become includable after a truncated-normal inclusion delay and execute, in
 submission order, in the first block produced after that.  There are no forks:
-finality is modeled purely through the confirmation depth that observers apply
-to the head.
+finality is modeled purely through the confirmation depth below the head.
+Observers are told only at the blocks where that confirmed state changes.
 """
 
 from __future__ import annotations
@@ -115,38 +115,6 @@ class Block:
     tx_ids: list[int] = field(default_factory=list)
 
 
-class ObserverView:
-    """A single observer's (possibly delayed) view of the chain.
-
-    State is derived only from blocks at least `depth` below the observed
-    head; the genesis configuration is public knowledge and visible from the
-    start.
-    """
-
-    def __init__(self, ledger: "Ledger", delay: float = 0.0):
-        self._ledger = ledger
-        self.delay = delay
-        self.head_height = 0
-        self.head_time = 0.0
-
-    def advance(self, height: int, produced_at: float) -> None:
-        if height < self.head_height:
-            raise InvalidInputError("observer view went backwards")
-        self.head_height = height
-        self.head_time = produced_at
-
-    @property
-    def confirmed_height(self) -> int:
-        return max(0, self.head_height - self._ledger.confirmation_depth)
-
-    def stored_config(self) -> Configuration:
-        return self._ledger.stored_config_at(self.confirmed_height)
-
-    def registration_visible(self, node: NodeId) -> bool:
-        height = self._ledger.registration_height(node)
-        return height is not None and height <= self.confirmed_height
-
-
 class Ledger:
     """Block production, transaction inclusion and gas accounting."""
 
@@ -176,8 +144,10 @@ class Ledger:
         self.config_log: list[tuple[int, Configuration]] = [(0, contract.c_cur)]
         self._config_heights: list[int] = [0]
         self._registration_heights: dict[NodeId, int] = {}
-        self._observers: list[tuple[ObserverView, Callable[[], None] | None]] = []
-        self._block_hooks: list[Callable[[Block], None]] = []
+        # heights of blocks that stored a configuration or accepted a registration
+        self._change_heights: set[int] = set()
+        self._observers: list[Callable[[], None]] = []
+        self._publication_hooks: list[Callable[[Configuration, float], None]] = []
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -206,6 +176,7 @@ class Ledger:
     def _produce_block(self) -> None:
         height = len(self.blocks)
         block = Block(height=height, produced_at=self.sim.now)
+        stored_before = len(self.config_log)
         still_pending = []
         for tx_id in self._pending:
             record = self.records[tx_id]
@@ -216,9 +187,12 @@ class Ledger:
         self._pending = still_pending
         self.blocks.append(block)
         self.contract.check_conservation()
-        for hook in self._block_hooks:
-            hook(block)
-        self._notify_observers(block)
+        if len(self.config_log) > stored_before:
+            for hook in self._publication_hooks:
+                hook(self.contract.c_cur, self.sim.now)
+        if height - self.confirmation_depth in self._change_heights:
+            for callback in self._observers:
+                callback()
         self._schedule_next_block()
 
     def _execute(self, record: TxRecord, block: Block) -> None:
@@ -227,11 +201,13 @@ class Ledger:
             report = self.contract.apply_register(tx.node, tx.fee)
             if report.accepted:
                 self._registration_heights[tx.node] = block.height
+                self._change_heights.add(block.height)
         elif tx.kind == "vote":
             report = self.contract.apply_vote(tx.config, tx.submitter)
             for event in report.updates:
                 self.config_log.append((block.height, event.new))
                 self._config_heights.append(block.height)
+                self._change_heights.add(block.height)
         else:
             raise InvalidInputError(f"unknown transaction kind {tx.kind!r}")
         gas = self._meter(report)
@@ -275,39 +251,29 @@ class Ledger:
         idx = bisect.bisect_right(self._config_heights, height) - 1
         return self.config_log[max(idx, 0)][1]
 
-    def registration_height(self, node: NodeId) -> int | None:
-        return self._registration_heights.get(node)
+    @property
+    def confirmed_height(self) -> int:
+        return max(0, self.head.height - self.confirmation_depth)
+
+    def confirmed_config(self) -> Configuration:
+        """The stored configuration as of the confirmed height; genesis is
+        public knowledge and confirmed from the start."""
+        return self.stored_config_at(self.confirmed_height)
+
+    def registration_confirmed(self, node: NodeId) -> bool:
+        height = self._registration_heights.get(node)
+        return height is not None and height <= self.confirmed_height
 
     # -- observers -------------------------------------------------------------------
 
-    def attach_observer(self, delay: float = 0.0, on_advance: Callable[[], None] | None = None) -> ObserverView:
-        view = ObserverView(self, delay)
-        # a freshly booting observer syncs the existing chain before watching
-        view.advance(self.head.height, self.head.produced_at)
-        self._observers.append((view, on_advance))
-        return view
+    def add_observer(self, callback: Callable[[], None]) -> None:
+        """Call `callback` at each block that confirms a stored configuration
+        or an accepted registration, in the order observers were added."""
+        self._observers.append(callback)
 
-    def add_block_hook(self, hook: Callable[[Block], None]) -> None:
-        self._block_hooks.append(hook)
-
-    def _notify_observers(self, block: Block) -> None:
-        for view, callback in self._observers:
-            if view.delay <= 0.0:
-                view.advance(block.height, block.produced_at)
-                if callback is not None:
-                    callback()
-            else:
-                self.sim.schedule_in(
-                    view.delay,
-                    lambda v=view, cb=callback, b=block: self._advance_delayed(v, cb, b),
-                    label="observe",
-                )
-
-    @staticmethod
-    def _advance_delayed(view: ObserverView, callback, block: Block) -> None:
-        view.advance(block.height, block.produced_at)
-        if callback is not None:
-            callback()
+    def add_publication_hook(self, hook: Callable[[Configuration, float], None]) -> None:
+        """Call `hook(config, at)` at each block that stores a new configuration."""
+        self._publication_hooks.append(hook)
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 agreement on the observed registry state, and vote triggering.
 
 Replicas are deterministic state machines driven by simulator events: message
-delivery, total-order deliveries, checkpoint timers and ledger-view advances.
+delivery, total-order deliveries, checkpoint timers and the ledger's
+confirmed-state change notifications.
 All correct replicas process the same ordered log and therefore walk the same
 configuration chain.
 """
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from bmsim.ledger import Ledger, LedgerTransaction, ObserverView
+from bmsim.ledger import Ledger, LedgerTransaction
 from bmsim.membership import (
     Configuration,
     NodeId,
@@ -147,9 +148,11 @@ class BftNode:
         self._latest_cache: Configuration | None = None
 
         sim.register_handler(node_id, self.handle_envelope)
-        self.view: ObserverView = ledger.attach_observer(on_advance=self.on_ledger_advance)
+        ledger.add_observer(self.on_ledger_advance)
         self.locally_observed.add(genesis.key())
         self.observed_configs[genesis.key()] = genesis
+        # a node built mid-run syncs the chain confirmed so far
+        self._observe_confirmed_config()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -207,8 +210,8 @@ class BftNode:
         return behavior in self.behaviors
 
     def published(self) -> Configuration:
-        """This node's own confirmed view of the stored configuration."""
-        return self.view.stored_config()
+        """The stored configuration as of the ledger's confirmed height."""
+        return self.ledger.confirmed_config()
 
     def latest_registry_config(self) -> Configuration:
         """Highest-numbered stored configuration that enough current members
@@ -278,7 +281,7 @@ class BftNode:
     def _maybe_confirm(self, joiner: NodeId) -> None:
         if not self._announce_waiting.get(joiner):
             return
-        if self.view.registration_visible(joiner):
+        if self.ledger.registration_confirmed(joiner):
             sig = self.sim.auth.sign(self.id, ("register_confirm", joiner))
             self.sim.send(self.id, joiner, ("register_confirm", joiner, self.id, sig))
             self._announce_waiting[joiner] = False
@@ -392,23 +395,29 @@ class BftNode:
     # -- ledger observation ---------------------------------------------------------------
 
     def on_ledger_advance(self) -> None:
-        stored = self.view.stored_config()
-        key = stored.key()
-        if key != self._last_seen_stored_key:
-            self._last_seen_stored_key = key
-            self.locally_observed.add(key)
-            self.observed_configs.setdefault(key, stored)
-            self._latest_cache = None
-            if key not in self._broadcast_observed and (self.active or self.retired):
-                self._broadcast_observed.add(key)
-                if not self._is_byz(Behavior.SILENT) and self.active:
-                    self.tob.broadcast(
-                        ("observed", key, self.id),
-                        ("tob_observed", stored.number, stored.members, self.id),
-                    )
+        """Called at each block that confirms a stored configuration or an
+        accepted registration."""
+        self._observe_confirmed_config()
         for joiner, waiting in list(self._announce_waiting.items()):
             if waiting:
                 self._maybe_confirm(joiner)
+
+    def _observe_confirmed_config(self) -> None:
+        stored = self.ledger.confirmed_config()
+        key = stored.key()
+        if key == self._last_seen_stored_key:
+            return
+        self._last_seen_stored_key = key
+        self.locally_observed.add(key)
+        self.observed_configs.setdefault(key, stored)
+        self._latest_cache = None
+        if key not in self._broadcast_observed and (self.active or self.retired):
+            self._broadcast_observed.add(key)
+            if not self._is_byz(Behavior.SILENT) and self.active:
+                self.tob.broadcast(
+                    ("observed", key, self.id),
+                    ("tob_observed", stored.number, stored.members, self.id),
+                )
 
     # -- checkpointing ------------------------------------------------------------------------
 

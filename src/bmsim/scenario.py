@@ -53,7 +53,7 @@ class ClientSettings:
 class ScenarioConfig:
     name: str = "scenario"
     seed: int = 1
-    initial_size: int = _spec(4, ge=1)
+    initial_size: int = _spec(4, ge=1, le=10_000)
     churn: list[ChurnOp] = _spec(factory=list)
     policy: Policy = Policy.EVERY
     fixed_t: int | None = _spec(None, ge=1)

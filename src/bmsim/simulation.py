@@ -156,7 +156,7 @@ class SimulationRun:
             self.sim, self.monitor, grace_p=scenario.grace_p(), bypass=scenario.bypass_validation
         )
         self.adversary.setup(scenario.corruption, self.nodes, genesis)
-        self._wire_publications()
+        self.ledger.add_publication_hook(self.adversary.on_publication)
 
         self.client: ClusterClient | None = None
         if scenario.client is not None:
@@ -177,17 +177,6 @@ class SimulationRun:
         )
         self.nodes[node_id] = node
         return node
-
-    def _wire_publications(self) -> None:
-        seen = {self.contract.c_cur.key()}
-
-        def hook(block):
-            stored = self.contract.c_cur
-            if stored.key() not in seen:
-                seen.add(stored.key())
-                self.adversary.on_publication(stored, self.sim.now)
-
-        self.ledger.add_block_hook(hook)
 
     # -- checkpointing -------------------------------------------------------------
 

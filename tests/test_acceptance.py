@@ -4,8 +4,11 @@ Each test prints one PASS line when its criterion holds (visible with
 `pytest -s` or `-rA`); a failing criterion fails the test outright.
 """
 
+import hashlib
+import json
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from bmsim.harness import (
     DEFAULT_ANCHOR_SIZES,
     attack_demo,
     calibrate_gas,
+    sweep_summary_csv,
     write_result_csvs,
 )
 from bmsim.ledger import PriceModel, usd_cost
@@ -24,6 +28,10 @@ from bmsim.simulation import run_scenario
 
 from test_membership import brute_force_batch_threshold
 from test_contract import random_sequence_equivalent
+from test_harness import REPO_ROOT, run_cli
+
+# sha256 of every CSV of the seed-1 benchmark workloads, pinned by the benchmark
+GOLDEN_DIGESTS = json.loads((REPO_ROOT / "perfbench" / "digests.json").read_text())
 
 
 def report(n, text):
@@ -50,11 +58,16 @@ def halff_sweep():
 # ---------------------------------------------------------------------------
 
 
-def test_acceptance_1_attack_prevention():
+@pytest.fixture(scope="module")
+def attack_batch():
     started = time.monotonic()
     protected = attack_demo("with_bms", seeds=100, write=False)
     control = attack_demo("no_bms", seeds=100, write=False)
-    elapsed = time.monotonic() - started
+    return protected, control, time.monotonic() - started
+
+
+def test_acceptance_1_attack_prevention(attack_batch):
+    protected, control, elapsed = attack_batch
     assert protected.forged_total == 0
     assert protected.runs_with_forgery == 0
     assert control.runs_with_forgery == len(control.runs) == 100
@@ -307,3 +320,35 @@ def test_acceptance_12_determinism(tmp_path):
         assert first[name].read_bytes() == second[name].read_bytes(), name
     report(12, "identical scenario and seed produce byte-identical CSVs "
                f"({', '.join(sorted(first))})")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _sweep_digests(result, out_dir: Path) -> dict[str, str]:
+    paths = write_result_csvs(result, out_dir)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    digests["summary.csv"] = _sha256(sweep_summary_csv(result))
+    return digests
+
+
+def test_golden_csv_digests(t1_sweep, halff_sweep, attack_batch, tmp_path):
+    protected, control, _ = attack_batch
+    assert _sweep_digests(t1_sweep, tmp_path / "t1") == GOLDEN_DIGESTS["growth_t1"]
+    assert _sweep_digests(halff_sweep, tmp_path / "halff") == GOLDEN_DIGESTS["growth_halff"]
+    assert {
+        f"attack_{r.mode}.csv": _sha256(r.to_csv()) for r in (protected, control)
+    } == GOLDEN_DIGESTS["attack"]
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        proc = run_cli("sweep", "--policy", "t1", "--to", "20", "--out", str(out),
+                       env={"PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs[hash_seed] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    assert sorted(outputs["0"]) == ["configs.csv", "joins.csv", "summary.csv", "updates.csv", "votes.csv"]
+    assert outputs["0"] == outputs["1"]

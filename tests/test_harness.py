@@ -107,6 +107,7 @@ MALFORMED = [
     (small_scenario_dict(polcy="every"), "polcy"),
     (small_scenario_dict(initial_size="4"), "initial_size"),
     (small_scenario_dict(initial_size=True), "initial_size"),
+    (small_scenario_dict(initial_size=10**400), "initial_size"),
     (small_scenario_dict(price={"foo": 1}), "price"),
     (small_scenario_dict(block={"sd": 0}), "block.sd"),
     (small_scenario_dict(network={"delta": 0}), "network.delta"),
@@ -358,6 +359,22 @@ def test_cli_calibrate_gas(tmp_path):
     assert proc.returncode == 0, proc.stderr
     schedule = json.loads((tmp_path / "gas_schedule.json").read_text())
     assert schedule["g_base"] == 21000
+
+
+@pytest.mark.parametrize(
+    "anchors",
+    [None, [[5, "x", 1.0], [25, 113314, 3.88]], [[5, 166640], [25, 113314, 3.88]], [[5, 166640, 5.71]]],
+    ids=["missing_file", "non_numeric", "short_row", "one_row"],
+)
+def test_cli_calibrate_gas_rejects_bad_anchors(tmp_path, anchors):
+    path = tmp_path / "anchors.json"
+    if anchors is not None:
+        path.write_text(json.dumps(anchors))
+    proc = run_cli("calibrate-gas", "--anchors", str(path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert "--anchors" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_attack_demo_api_seeds():

@@ -1,4 +1,5 @@
-"""Ledger behavior: inclusion, block cadence, confirmation, gas, observers."""
+"""Ledger behavior: inclusion, block cadence, confirmation, gas, observer
+notifications."""
 
 import pytest
 
@@ -164,26 +165,60 @@ def test_vote_gas_components():
 
 def test_observer_confirmed_state_lags_head():
     sim, ledger = make_ledger(seed=7, depth=5)
-    view = ledger.attach_observer()
+    target = Configuration(1, genesis().members + ("j1",))
     ledger.submit_tx(register_tx("j1", 100))
-    ledger.submit_tx(vote_tx(Configuration(1, genesis().members + ("j1",)), "n0"))
-    ledger.submit_tx(vote_tx(Configuration(1, genesis().members + ("j1",)), "n1"))
-    run_until_blocks(sim, ledger, 10)
+    ledger.submit_tx(vote_tx(target, "n0"))
+    ledger.submit_tx(vote_tx(target, "n1"))
+    # block intervals are at least 1s, so sub-second steps add one block at a time
+    while ledger.contract.c_cur.number == 0:
+        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
     update_height = ledger.config_log[-1][0]
-    assert ledger.contract.c_cur.number == 1
-    # before depth blocks on top, the observer still reports genesis
-    while view.head_height < update_height + 5:
-        assert view.stored_config().number == 0
-        run_until_blocks(sim, ledger, view.head_height + 1)
-    assert view.stored_config().number == 1
+    assert ledger.head.height == update_height
+    # before depth blocks on top, the confirmed state still reports genesis
+    lagging_blocks = 0
+    while ledger.head.height < update_height + 5:
+        assert ledger.confirmed_height == max(0, ledger.head.height - 5)
+        assert ledger.confirmed_config().number == 0
+        lagging_blocks += 1
+        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+    assert lagging_blocks == 5
+    assert ledger.confirmed_config() == target
 
 
-def test_delayed_observer_sees_older_head():
-    sim, ledger = make_ledger(seed=12)
-    fast = ledger.attach_observer(delay=0.0)
-    slow = ledger.attach_observer(delay=30.0)
-    run_until_blocks(sim, ledger, 10)
-    assert slow.head_height < fast.head_height
+def test_registration_notifies_observers_once_at_confirmation():
+    depth = 5
+    sim, ledger = make_ledger(seed=4, depth=depth)
+    calls = []
+    ledger.add_observer(lambda: calls.append((ledger.head.height, ledger.registration_confirmed("j1"))))
+    tx_id = ledger.submit_tx(register_tx("j1", 100))
+    ledger.submit_tx(register_tx("poor", 50))  # rejected: below the registration cost
+    record = ledger.records[tx_id]
+    while record.included_height is None:
+        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+    included = record.included_height
+    run_until_blocks(sim, ledger, included + depth + 10, step=0.9)
+    assert calls == [(included + depth, True)]
+    assert not ledger.registration_confirmed("poor")
+
+
+def test_publication_hook_fires_once_per_storing_block():
+    sim, ledger = make_ledger(seed=7, depth=5)
+    published = []
+    ledger.add_publication_hook(lambda config, at: published.append((config, at)))
+    first = Configuration(1, genesis().members + ("j1",))
+    second = Configuration(2, first.members + ("j2",))
+    for voter in ("n0", "n1"):
+        ledger.submit_tx(vote_tx(first, voter))
+    while ledger.contract.c_cur.number == 0:
+        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+    for voter in first.members:
+        ledger.submit_tx(vote_tx(second, voter, at=sim.now))
+    run_until_blocks(sim, ledger, ledger.head.height + 30)
+    assert ledger.contract.c_cur == second
+    assert published == [
+        (config, ledger.blocks[height].produced_at) for height, config in ledger.config_log[1:]
+    ]
+    assert [config for config, _ in published] == [first, second]
 
 
 def test_replayed_state_equals_incremental():

@@ -5,7 +5,7 @@ import pytest
 
 from bmsim.contract import RegistryContract
 from bmsim.errors import InvariantViolation
-from bmsim.ledger import Ledger
+from bmsim.ledger import Ledger, LedgerTransaction
 from bmsim.membership import Configuration, Policy
 from bmsim.metrics import RunMonitor
 from bmsim.node import (
@@ -250,6 +250,21 @@ def test_silent_behavior_drops_everything():
     node.on_checkpoint()
     assert submitted == []
 
+
+def test_node_built_mid_run_starts_from_confirmed_config():
+    h = Harness()
+    target = Configuration(1, h.genesis.members + ("j1",))
+    for voter in ("n0", "n1"):
+        h.ledger.submit_tx(
+            LedgerTransaction(kind="vote", submitter=voter, submitted_at=0.0, config=target)
+        )
+    h.ledger.start()
+    h.sim.run(until=1500.0)  # inclusion plus 37 confirmations of about 15 s
+    assert h.ledger.confirmed_config() == target
+    late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
+    assert late.locally_observed == {h.genesis.key(), target.key()}
+    assert late.observed_configs[target.key()] == target
+    assert late._last_seen_stored_key == target.key()
 
 
 def test_monitor_rejects_checkpoint_latency_beyond_interval():

@@ -71,7 +71,6 @@ class AdversaryController:
         self.nodes: dict[NodeId, BftNode] = {}
         self.entries: list[CorruptionEntry] = []
         self.forged_payload: bytes = b""
-        self.forged_config: Configuration | None = None
         self._activated: set[NodeId] = set()
         self._pending_retirement: list[CorruptionEntry] = []
         self._publications: list[tuple[float, Configuration]] = []
@@ -81,7 +80,6 @@ class AdversaryController:
         self.entries = list(entries)
         self.nodes = nodes
         self.forged_payload = b"forged-state:" + str(self.sim.seed).encode()
-        self.forged_config = genesis
         self._publications.append((0.0, genesis))
         if self.monitor is not None:
             self.monitor.forged_payload = self.forged_payload

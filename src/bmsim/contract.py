@@ -91,9 +91,6 @@ class RegistryContract:
 
     # -- reads ---------------------------------------------------------------
 
-    def config_request(self) -> Configuration:
-        return self.c_cur
-
     def votes_for(self, config: Configuration) -> set[NodeId]:
         return set(self._votes.get(config.key(), {}))
 

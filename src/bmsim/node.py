@@ -31,7 +31,6 @@ class Behavior(enum.Enum):
     """Misbehaviors a corrupted node can adopt."""
 
     SILENT = "silent"
-    FORGE_CONFIG_RESPONSE = "forge_config_response"
     WITHHOLD_VOTE = "withhold_vote"
     VOTE_BOGUS = "vote_bogus"
     DROP_MESSAGES = "drop_messages"
@@ -44,6 +43,11 @@ class TotalOrderBroadcast:
     All subscribers see the same payloads in the same order; duplicates are
     suppressed by payload key.  Byzantine nodes may decline to broadcast but
     cannot reorder or fork the log.
+
+    Every replica would apply a `tob_observed` entry (a member reporting a
+    stored registry configuration) in the same way, so the log applies each
+    one once, to the observation table it owns, and passes only the
+    reconfiguration requests on to its subscribers.
     """
 
     def __init__(self, sim: SimulationCore, latency: float = 0.95):
@@ -51,7 +55,10 @@ class TotalOrderBroadcast:
         self.latency = latency
         self.log: list[tuple] = []
         self._keys: set = set()
-        self._delivered_upto = 0
+        self.delivered = 0         # the log position: entries delivered so far
+        # stored configuration -> the members that reported seeing it
+        self.observed: dict[Configuration, set[NodeId]] = {}
+        self.observations = 0      # `tob_observed` entries applied
         # node_id -> (callback, first index it participates from)
         self._subscribers: dict[NodeId, tuple[Callable[[int, tuple], None], int]] = {}
 
@@ -66,7 +73,12 @@ class TotalOrderBroadcast:
 
     def _deliver(self, index: int) -> None:
         payload = self.log[index]
-        self._delivered_upto = index + 1
+        self.delivered = index + 1
+        if payload[0] == "tob_observed":
+            _, config, observer = payload
+            self.observed.setdefault(config, set()).add(observer)
+            self.observations += 1
+            return
         for node_id in list(self._subscribers):
             callback, start = self._subscribers.get(node_id, (None, 0))
             if callback is not None and index >= start:
@@ -74,9 +86,10 @@ class TotalOrderBroadcast:
 
     def subscribe(self, node_id: NodeId, callback: Callable[[int, tuple], None], start: int = 0) -> None:
         self._subscribers[node_id] = (callback, start)
-        # replay already-delivered entries the newcomer has not applied yet
-        for index in range(start, self._delivered_upto):
-            callback(index, self.log[index])
+        # replay already-delivered requests the newcomer has not applied yet
+        for index in range(start, self.delivered):
+            if self.log[index][0] != "tob_observed":
+                callback(index, self.log[index])
 
     def unsubscribe(self, node_id: NodeId) -> None:
         self._subscribers.pop(node_id, None)
@@ -129,11 +142,8 @@ class BftNode:
         self.c_cur = genesis
         self.c_last_voted = genesis
         self.pending: deque[ReconfigRequest] = deque()
-        self.observed: dict[tuple, set[NodeId]] = {}
-        self.observed_configs: dict[tuple, Configuration] = {}
         self.locally_observed: set[tuple] = set()
         self.app_state: bytes = b"app:0"
-        self.log_position = 0
         self.active = False
         self.retired = False
         self.behaviors: set[Behavior] = set()
@@ -143,14 +153,14 @@ class BftNode:
         self._processed_keys: set = set()
         self._queued_nodes: set[NodeId] = set()
         self._announce_waiting: dict[NodeId, bool] = {}
-        self._broadcast_observed: set[tuple] = set()
         self._last_seen_stored_key: tuple = genesis.key()
-        self._latest_cache: Configuration | None = None
+        # the last answer of `latest_registry_config`, and the count of
+        # applied observations it was computed at (None: recompute)
+        self._agreed = genesis
+        self._agreed_at: int | None = None
 
         sim.register_handler(node_id, self.handle_envelope)
         ledger.add_observer(self.on_ledger_advance)
-        self.locally_observed.add(genesis.key())
-        self.observed_configs[genesis.key()] = genesis
         # a node built mid-run syncs the chain confirmed so far
         self._observe_confirmed_config()
 
@@ -165,40 +175,21 @@ class BftNode:
         self.retired = True
         self.tob.unsubscribe(self.id)
 
-    def observed_snapshot(self) -> tuple:
-        """TOB-agreed observation state, serialized for state transfer."""
-        out = []
-        for key in sorted(self.observed_configs):
-            number, members = key
-            observers = tuple(sorted(self.observed.get(key, ())))
-            out.append((number, members, observers))
-        return tuple(out)
-
     def adopt(
-        self,
-        app_state: bytes,
-        config: Configuration,
-        log_position: int,
-        observed: tuple,
-        last_voted: tuple,
+        self, app_state: bytes, config: Configuration, log_position: int, last_voted: tuple
     ) -> None:
         """Install state received in a final join response.
 
-        The last-voted configuration is part of the replicated protocol state:
-        replicas must share it or their vote triggers drift apart and batch
-        announcements can fall short of the registry threshold.
+        The log position fixes the observation table the joiner shares with
+        the responders.  The last-voted configuration is part of the
+        replicated protocol state: replicas must share it or their vote
+        triggers drift apart and batch announcements can fall short of the
+        registry threshold.
         """
         self.app_state = app_state
         self.c_cur = config
         self.c_last_voted = Configuration(last_voted[0], tuple(last_voted[1]))
-        self.log_position = log_position
-        self._latest_cache = None
-        for number, members, observers in observed:
-            restored = Configuration(number, tuple(members))
-            key = restored.key()
-            self.observed_configs.setdefault(key, restored)
-            if observers:
-                self.observed.setdefault(key, set()).update(observers)
+        self._agreed_at = None
         self.activate(from_log_index=log_position)
 
     # -- helpers -----------------------------------------------------------------
@@ -213,38 +204,37 @@ class BftNode:
         """The stored configuration as of the ledger's confirmed height."""
         return self.ledger.confirmed_config()
 
+    @property
+    def _latest_cache(self) -> Configuration | None:
+        """The last answer, while no observation has been applied since and
+        neither `c_cur` nor the local view has changed."""
+        return self._agreed if self._agreed_at == self.tob.observations else None
+
     def latest_registry_config(self) -> Configuration:
         """Highest-numbered stored configuration that enough current members
-        (plus this node's own local observation) have reported seeing."""
-        if self._latest_cache is not None:
-            return self._latest_cache
+        (plus this node's own local observation) have reported seeing.
+
+        Nothing at or below the last answer replaces it, and the last answer
+        stands while no newer configuration has enough reports: it is genesis
+        (public knowledge) or a configuration agreed on before.
+        """
+        cached = self._latest_cache
+        if cached is not None:
+            return cached
         threshold = max_faults(self.c_cur) + 1
         members = set(self.c_cur.members)
-        best: Configuration | None = None
-        for key, observers in self.observed.items():
+        best = self._agreed
+        for config, observers in self.tob.observed.items():
+            if config.number <= best.number:
+                continue
             count = len(observers & members)
-            if key in self.locally_observed and self.id in members and self.id not in observers:
+            if self.id in members and self.id not in observers and config.key() in self.locally_observed:
                 count += 1
             if count >= threshold:
-                config = self.observed_configs[key]
-                if best is None or config.number > best.number:
-                    best = config
-        if best is None:
-            # the oldest retained entry is either genesis (public knowledge)
-            # or a previously agreed-on configuration, neither needs a quorum
-            best = self.observed_configs[min(self.observed_configs)]
-        self._latest_cache = best
-        self._gc_observed(best)
+                best = config
+        self._agreed = best
+        self._agreed_at = self.tob.observations
         return best
-
-    def _gc_observed(self, latest: Configuration) -> None:
-        """Entries below the agreed-latest configuration can never become the
-        latest again; dropping them keeps state-transfer snapshots small."""
-        stale = [key for key in self.observed_configs if key[0] < latest.number]
-        for key in stale:
-            self.observed_configs.pop(key, None)
-            self.observed.pop(key, None)
-            self.locally_observed.discard(key)
 
     # -- messaging ------------------------------------------------------------------
 
@@ -262,8 +252,6 @@ class BftNode:
             self._on_evict_request(env.payload)
         elif kind == "query":
             self._on_query(env.payload)
-        elif kind == "config_query":
-            self._on_config_query(env.payload)
 
     def _serves_announce(self) -> bool:
         # listed members answer even after local retirement: a stale joiner
@@ -315,24 +303,11 @@ class BftNode:
         sig = self.sim.auth.sign(self.id, ("query_response", request_id, response))
         self.sim.send(self.id, client, ("query_response", request_id, response, self.id, sig))
 
-    def _on_config_query(self, payload: tuple) -> None:
-        _, client = payload
-        if self._is_byz(Behavior.FORGE_CONFIG_RESPONSE) and self.adversary is not None:
-            fake = self.adversary.forged_config
-            body = ("config_response", fake.number, fake.members, self.adversary.forged_payload)
-        elif self.active:
-            pub = self.published()
-            body = ("config_response", pub.number, pub.members, self.app_state)
-        else:
-            return
-        self.sim.send(self.id, client, body)
-
     # -- total order deliveries ---------------------------------------------------------
 
     def on_tob_deliver(self, index: int, payload: tuple) -> None:
         if self._is_byz(Behavior.DROP_MESSAGES):
             return
-        self.log_position = index + 1
         kind = payload[0]
         if kind == "tob_join":
             _, joiner, attempt, proof = payload
@@ -355,13 +330,6 @@ class BftNode:
             req = ReconfigRequest(kind="evict", node=node, attempt=attempt, pom=pom)
             if self.params.pom_validator(node, pom) and node in self.c_cur.members:
                 self._enqueue(req)
-        elif kind == "tob_observed":
-            _, number, members, observer = payload
-            config = Configuration(number, tuple(members))
-            key = config.key()
-            self.observed.setdefault(key, set()).add(observer)
-            self.observed_configs.setdefault(key, config)
-            self._latest_cache = None
 
     def _valid_join(self, req: ReconfigRequest) -> bool:
         if req.node in self.c_cur.members:
@@ -409,15 +377,10 @@ class BftNode:
             return
         self._last_seen_stored_key = key
         self.locally_observed.add(key)
-        self.observed_configs.setdefault(key, stored)
-        self._latest_cache = None
-        if key not in self._broadcast_observed and (self.active or self.retired):
-            self._broadcast_observed.add(key)
-            if not self._is_byz(Behavior.SILENT) and self.active:
-                self.tob.broadcast(
-                    ("observed", key, self.id),
-                    ("tob_observed", stored.number, stored.members, self.id),
-                )
+        self._agreed_at = None
+        # a confirmed key never repeats, so each member reports it once
+        if self.active and not self._is_byz(Behavior.SILENT):
+            self.tob.broadcast(("observed", key, self.id), ("tob_observed", stored, self.id))
 
     # -- checkpointing ------------------------------------------------------------------------
 
@@ -446,7 +409,7 @@ class BftNode:
         return req.node in self.c_cur.members
 
     def _apply_request(self, req: ReconfigRequest) -> None:
-        self._latest_cache = None
+        self._agreed_at = None
         if req.kind == "join":
             self.c_cur = self.c_cur.with_member(req.node)
         else:
@@ -469,8 +432,7 @@ class BftNode:
             self.app_state,
             self.c_cur.number,
             self.c_cur.members,
-            self.log_position,
-            self.observed_snapshot(),
+            self.tob.delivered,
             (self.c_last_voted.number, self.c_last_voted.members),
         )
         sig = self.sim.auth.sign(self.id, body)
@@ -625,11 +587,11 @@ class JoinerAgent:
     def _on_final_response(self, payload: tuple) -> None:
         if self.admitted:
             return
-        _, joiner, app_state, number, members, log_pos, observed, last_voted, responder, sig = payload
-        body = ("final_response", joiner, app_state, number, members, log_pos, observed, last_voted)
+        _, joiner, app_state, number, members, log_pos, last_voted, responder, sig = payload
+        body = ("final_response", joiner, app_state, number, members, log_pos, last_voted)
         if not self.sim.auth.verify(responder, body, sig):
             return
-        key = (app_state, number, members, log_pos, observed, last_voted)
+        key = (app_state, number, members, log_pos, last_voted)
         bucket = self.responses.setdefault(key, {})
         bucket[responder] = None
         config = Configuration(number, tuple(members))
@@ -637,7 +599,7 @@ class JoinerAgent:
         if len(bucket) >= needed:
             self.admitted = True
             self.admitted_at = self.sim.now
-            self.node.adopt(app_state, config, log_pos, observed, last_voted)
+            self.node.adopt(app_state, config, log_pos, last_voted)
             self.sim.register_handler(self.node.id, self.node.handle_envelope)
             if self.node.monitor is not None:
                 self.node.monitor.join_admitted(self.node.id, self.sim.now)

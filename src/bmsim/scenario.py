@@ -345,7 +345,7 @@ def long_range_scenario(
     sc.corruption = [
         CorruptionEntry(
             node=f"n{i}",
-            behaviors=(Behavior.STALE_QUORUM, Behavior.FORGE_CONFIG_RESPONSE),
+            behaviors=(Behavior.STALE_QUORUM,),
             after_retirement=True,
         )
         for i in range(initial_size)

@@ -1,7 +1,9 @@
 """End-to-end scenario behaviors beyond the default sweep: eventual synchrony,
-evictions, departures with refunds, and config forgery toward clients."""
+evictions, departures with refunds, forged state toward clients, and what the
+ordered log passes to replicas."""
 
 from bmsim.membership import Policy
+from bmsim.node import BftNode
 from bmsim.scenario import growth_scenario, long_range_scenario, scenario_from_dict
 from bmsim.simulation import run_scenario
 
@@ -75,8 +77,8 @@ def test_updates_csv_blank_per_join_for_pure_leaves(tmp_path):
 
 
 def test_forged_config_response_ignored_by_registry_reader():
-    # corrupted retirees serve a forged configuration on direct inquiry, but
-    # the protected client derives its view from the ledger, never from nodes
+    # corrupted retirees answer queries with forged state, but the protected
+    # client derives its view from the ledger, never from nodes
     result = run_scenario(long_range_scenario(mode="with_bms", seed=23))
     assert result.forged_accepted == 0
     final = result.configs[-1]
@@ -100,3 +102,20 @@ def test_halff_equals_every_while_small():
     assert [(u.size, u.joiners) for u in every.updates] == [
         (u.size, u.joiners) for u in halff.updates
     ]
+
+
+def test_replicas_receive_only_reconfiguration_entries(monkeypatch):
+    # the log applies members' observation reports to its own table, so a
+    # replica is called once per join entry, not once per report of it
+    kinds = []
+    deliver = BftNode.on_tob_deliver
+
+    def counted(node, index, payload):
+        kinds.append(payload[0])
+        deliver(node, index, payload)
+
+    monkeypatch.setattr(BftNode, "on_tob_deliver", counted)
+    result = run_scenario(growth_scenario(Policy.EVERY, 4, 30, seed=1))
+    assert result.completed
+    assert set(kinds) == {"tob_join"}
+    assert len(kinds) == sum(range(4, 30)) == 429  # n members per join at size n

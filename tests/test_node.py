@@ -39,6 +39,11 @@ class Harness:
             node.activate(0)
             self.nodes[member] = node
 
+    def observe(self, config, observer):
+        """Order and deliver `observer`'s report that `config` is stored."""
+        self.tob.broadcast(("observed", config.key(), observer), ("tob_observed", config, observer))
+        self.sim.run(until=self.sim.now + self.tob.latency)
+
     def confirm_proof(self, joiner, confirmers):
         self.sim.auth.register(joiner)
         return tuple(
@@ -117,9 +122,9 @@ def test_observation_quorum_examples():
     node = h.nodes["n0"]
     c1 = Configuration(1, genesis().members + ("j1",))
     # a single observer (below f+1 = 2) does not establish the configuration
-    node.on_tob_deliver(0, ("tob_observed", c1.number, c1.members, "n1"))
+    h.observe(c1, "n1")
     assert node.latest_registry_config().number == 0
-    node.on_tob_deliver(1, ("tob_observed", c1.number, c1.members, "n2"))
+    h.observe(c1, "n2")
     assert node.latest_registry_config().number == 1
 
 
@@ -129,8 +134,8 @@ def test_higher_number_without_quorum_not_latest():
     c1 = Configuration(1, genesis().members + ("j1",))
     c2 = Configuration(2, genesis().members + ("j1", "j2"))
     for observer in ("n1", "n2"):
-        node.on_tob_deliver(len(node.observed), ("tob_observed", c1.number, c1.members, observer))
-    node.on_tob_deliver(5, ("tob_observed", c2.number, c2.members, "n3"))
+        h.observe(c1, observer)
+    h.observe(c2, "n3")
     assert node.latest_registry_config().number == 1
 
 
@@ -138,8 +143,26 @@ def test_fake_config_from_byzantine_never_latest():
     h = Harness()
     node = h.nodes["n0"]
     fake = Configuration(9, ("evil0", "evil1", "evil2", "evil3"))
-    node.on_tob_deliver(0, ("tob_observed", fake.number, fake.members, "n3"))
+    h.observe(fake, "n3")
     assert node.latest_registry_config().number == 0
+
+
+def test_agreed_config_outlives_its_quorum_and_late_old_reports():
+    h = Harness(policy=Policy.FIXED, fixed_t=3)
+    node = h.nodes["n0"]
+    c1 = Configuration(1, genesis().members + ("j1",))
+    for observer in ("n1", "n2"):
+        h.observe(c1, observer)
+    assert node.latest_registry_config() == c1
+    # growing to 7 members raises f+1 to 3, above c1's two reports
+    for i, joiner in enumerate(("j1", "j2", "j3")):
+        node.on_tob_deliver(i, ("tob_join", joiner, 1, h.confirm_proof(joiner, ["n0", "n1"])))
+    node.on_checkpoint()
+    assert node.c_cur.size == 7
+    assert node.latest_registry_config() == c1
+    # a late report of an older configuration must not bring it back
+    h.observe(h.genesis, "n3")
+    assert node.latest_registry_config() == c1
 
 
 def test_checkpoint_gate_defers_when_registry_behind():
@@ -262,8 +285,8 @@ def test_node_built_mid_run_starts_from_confirmed_config():
     h.sim.run(until=1500.0)  # inclusion plus 37 confirmations of about 15 s
     assert h.ledger.confirmed_config() == target
     late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
-    assert late.locally_observed == {h.genesis.key(), target.key()}
-    assert late.observed_configs[target.key()] == target
+    assert late.locally_observed == {target.key()}
+    assert list(h.tob.observed) == [target]
     assert late._last_seen_stored_key == target.key()
 
 

@@ -117,8 +117,7 @@ class AdversaryController:
         self._runtime_budget_check(entry)
         self._activated.add(entry.node)
         node = self.nodes[entry.node]
-        node.behaviors.update(entry.behaviors)
-        node.adversary = self
+        node.corrupt(entry.behaviors, self)
         if self.monitor is not None:
             self.monitor.mark_byzantine(entry.node)
             self.monitor.note(f"{self.sim.now:.2f} corrupted {entry.node}")

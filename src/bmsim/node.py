@@ -33,7 +33,7 @@ class Behavior(enum.Enum):
     SILENT = "silent"
     WITHHOLD_VOTE = "withhold_vote"
     VOTE_BOGUS = "vote_bogus"
-    DROP_MESSAGES = "drop_messages"
+    DROP_MESSAGES = "drop_messages"  # also stops applying the ordered log
     STALE_QUORUM = "stale_quorum"
 
 
@@ -56,7 +56,8 @@ class TotalOrderBroadcast:
         self.log: list[tuple] = []
         self._keys: set = set()
         self.delivered = 0         # the log position: entries delivered so far
-        # stored configuration -> the members that reported seeing it
+        # stored configuration -> the members that reported seeing it, in the
+        # order of first reports (a configuration's rank)
         self.observed: dict[Configuration, set[NodeId]] = {}
         self.observations = 0      # `tob_observed` entries applied
         # node_id -> (callback, first index it participates from)
@@ -83,6 +84,16 @@ class TotalOrderBroadcast:
             callback, start = self._subscribers.get(node_id, (None, 0))
             if callback is not None and index >= start:
                 callback(index, payload)
+
+    def observed_at(self, position: int) -> dict[Configuration, set[NodeId]]:
+        """The observation table as it stood after `position` deliveries."""
+        if position == self.delivered:
+            return self.observed
+        table: dict[Configuration, set[NodeId]] = {}
+        for payload in self.log[:position]:
+            if payload[0] == "tob_observed":
+                table.setdefault(payload[1], set()).add(payload[2])
+        return table
 
     def subscribe(self, node_id: NodeId, callback: Callable[[int, tuple], None], start: int = 0) -> None:
         self._subscribers[node_id] = (callback, start)
@@ -154,10 +165,14 @@ class BftNode:
         self._queued_nodes: set[NodeId] = set()
         self._announce_waiting: dict[NodeId, bool] = {}
         self._last_seen_stored_key: tuple = genesis.key()
-        # the last answer of `latest_registry_config`, and the count of
-        # applied observations it was computed at (None: recompute)
+        # the last answer of `latest_registry_config`, its rank in the log's
+        # table (None: genesis) and the count of applied observations it was
+        # computed at (None: recompute)
         self._agreed = genesis
+        self._agreed_rank: int | None = None
         self._agreed_at: int | None = None
+        # the log position a `drop_messages` replica stopped applying at
+        self._frozen_at: int | None = None
 
         sim.register_handler(node_id, self.handle_envelope)
         ledger.add_observer(self.on_ledger_advance)
@@ -175,21 +190,35 @@ class BftNode:
         self.retired = True
         self.tob.unsubscribe(self.id)
 
+    def corrupt(self, behaviors, adversary) -> None:
+        """Adopt `behaviors`; a replica that starts dropping messages stops
+        applying the ordered log where it stands."""
+        if Behavior.DROP_MESSAGES in behaviors and self.active:
+            self._frozen_at = self.tob.delivered
+        self.behaviors.update(behaviors)
+        self.adversary = adversary
+
     def adopt(
-        self, app_state: bytes, config: Configuration, log_position: int, last_voted: tuple
+        self, app_state: bytes, config: Configuration, log_position: int, last_voted: tuple,
+        agreed_rank: int | None,
     ) -> None:
         """Install state received in a final join response.
 
         The log position fixes the observation table the joiner shares with
-        the responders.  The last-voted configuration is part of the
-        replicated protocol state: replicas must share it or their vote
-        triggers drift apart and batch announcements can fall short of the
-        registry threshold.
+        the responders, and the rank picks their last agreed configuration
+        from it.  That and the last-voted configuration are replicated
+        protocol state: replicas must share them or their vote triggers and
+        checkpoint gates drift apart.
         """
         self.app_state = app_state
         self.c_cur = config
         self.c_last_voted = Configuration(last_voted[0], tuple(last_voted[1]))
+        if agreed_rank is not None:
+            self._agreed = list(self.tob.observed)[agreed_rank]
+            self._agreed_rank = agreed_rank
         self._agreed_at = None
+        if self._is_byz(Behavior.DROP_MESSAGES):
+            self._frozen_at = log_position
         self.activate(from_log_index=log_position)
 
     # -- helpers -----------------------------------------------------------------
@@ -199,6 +228,10 @@ class BftNode:
 
     def _is_byz(self, behavior: Behavior) -> bool:
         return behavior in self.behaviors
+
+    def _log_position(self) -> int:
+        """Entries of the ordered log this replica has applied."""
+        return self.tob.delivered if self._frozen_at is None else self._frozen_at
 
     def published(self) -> Configuration:
         """The stored configuration as of the ledger's confirmed height."""
@@ -216,23 +249,24 @@ class BftNode:
 
         Nothing at or below the last answer replaces it, and the last answer
         stands while no newer configuration has enough reports: it is genesis
-        (public knowledge) or a configuration agreed on before.
+        (public knowledge) or a configuration agreed on before, here or by the
+        members whose final responses admitted this replica.
         """
         cached = self._latest_cache
         if cached is not None:
             return cached
         threshold = max_faults(self.c_cur) + 1
         members = set(self.c_cur.members)
-        best = self._agreed
-        for config, observers in self.tob.observed.items():
+        best, rank = self._agreed, self._agreed_rank
+        for index, (config, observers) in enumerate(self.tob.observed_at(self._log_position()).items()):
             if config.number <= best.number:
                 continue
             count = len(observers & members)
             if self.id in members and self.id not in observers and config.key() in self.locally_observed:
                 count += 1
             if count >= threshold:
-                best = config
-        self._agreed = best
+                best, rank = config, index
+        self._agreed, self._agreed_rank = best, rank
         self._agreed_at = self.tob.observations
         return best
 
@@ -387,7 +421,6 @@ class BftNode:
     def on_checkpoint(self) -> None:
         if not self.active:
             return
-        processed = []
         while self.pending:
             latest = self.latest_registry_config()
             if symmetric_difference(latest, self.c_cur) >= self._t():
@@ -398,7 +431,6 @@ class BftNode:
             if not self._still_applicable(req):
                 continue
             self._apply_request(req)
-            processed.append(req)
         self.maybe_vote()
         if self.retired:
             self.retire()
@@ -432,8 +464,9 @@ class BftNode:
             self.app_state,
             self.c_cur.number,
             self.c_cur.members,
-            self.tob.delivered,
+            self._log_position(),
             (self.c_last_voted.number, self.c_last_voted.members),
+            self._agreed_rank,
         )
         sig = self.sim.auth.sign(self.id, body)
         self.sim.send(self.id, joiner, body + (self.id, sig))
@@ -511,7 +544,6 @@ class JoinerAgent:
         self.admitted = False
         self.admitted_at: float | None = None
         self.responses: dict[tuple, dict[NodeId, None]] = {}
-        self._handler_installed = False
 
     def start(self) -> None:
         self.started_at = self.sim.now
@@ -587,11 +619,11 @@ class JoinerAgent:
     def _on_final_response(self, payload: tuple) -> None:
         if self.admitted:
             return
-        _, joiner, app_state, number, members, log_pos, last_voted, responder, sig = payload
-        body = ("final_response", joiner, app_state, number, members, log_pos, last_voted)
+        _, joiner, app_state, number, members, log_pos, last_voted, rank, responder, sig = payload
+        body = ("final_response", joiner, app_state, number, members, log_pos, last_voted, rank)
         if not self.sim.auth.verify(responder, body, sig):
             return
-        key = (app_state, number, members, log_pos, last_voted)
+        key = (app_state, number, members, log_pos, last_voted, rank)
         bucket = self.responses.setdefault(key, {})
         bucket[responder] = None
         config = Configuration(number, tuple(members))
@@ -599,7 +631,7 @@ class JoinerAgent:
         if len(bucket) >= needed:
             self.admitted = True
             self.admitted_at = self.sim.now
-            self.node.adopt(app_state, config, log_pos, last_voted)
+            self.node.adopt(app_state, config, log_pos, last_voted, rank)
             self.sim.register_handler(self.node.id, self.node.handle_envelope)
             if self.node.monitor is not None:
                 self.node.monitor.join_admitted(self.node.id, self.sim.now)

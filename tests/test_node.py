@@ -11,6 +11,7 @@ from bmsim.metrics import RunMonitor
 from bmsim.node import (
     Behavior,
     BftNode,
+    JoinerAgent,
     NodeParams,
     ReconfigRequest,
     TotalOrderBroadcast,
@@ -43,6 +44,14 @@ class Harness:
         """Order and deliver `observer`'s report that `config` is stored."""
         self.tob.broadcast(("observed", config.key(), observer), ("tob_observed", config, observer))
         self.sim.run(until=self.sim.now + self.tob.latency)
+
+    def order_join(self, joiner):
+        """Order `joiner`'s request on the log and run every member's checkpoint."""
+        proof = self.confirm_proof(joiner, list(self.nodes))
+        self.tob.broadcast(("join", joiner, 1), ("tob_join", joiner, 1, proof))
+        self.sim.run(until=self.sim.now + self.tob.latency)
+        for node in self.nodes.values():
+            node.on_checkpoint()
 
     def confirm_proof(self, joiner, confirmers):
         self.sim.auth.register(joiner)
@@ -155,14 +164,44 @@ def test_agreed_config_outlives_its_quorum_and_late_old_reports():
         h.observe(c1, observer)
     assert node.latest_registry_config() == c1
     # growing to 7 members raises f+1 to 3, above c1's two reports
-    for i, joiner in enumerate(("j1", "j2", "j3")):
-        node.on_tob_deliver(i, ("tob_join", joiner, 1, h.confirm_proof(joiner, ["n0", "n1"])))
-    node.on_checkpoint()
+    for joiner in ("j1", "j2", "j3"):
+        h.order_join(joiner)
     assert node.c_cur.size == 7
     assert node.latest_registry_config() == c1
     # a late report of an older configuration must not bring it back
     h.observe(h.genesis, "n3")
     assert node.latest_registry_config() == c1
+    # a joiner admitted now takes the members' agreed answer from its
+    # final responses, though c1 has too few reports under its view
+    late = BftNode(h.sim, "j4", h.tob, h.ledger, h.genesis, node.params)
+    agent = JoinerAgent(late)
+    h.sim.register_handler("j4", agent.handle_envelope)
+    h.order_join("j4")
+    h.sim.run(until=h.sim.now + 10.0)
+    assert agent.admitted and late.c_cur == node.c_cur
+    assert late.latest_registry_config() == c1
+
+
+def test_dropping_replica_stops_applying_the_log():
+    h = Harness()
+    node = h.nodes["n0"]
+    proof = h.confirm_proof("j1", ["n0", "n1"])
+    h.tob.broadcast(("join", "j1", 1), ("tob_join", "j1", 1, proof))
+    h.sim.run(until=h.tob.latency)
+    node.corrupt({Behavior.DROP_MESSAGES}, adversary=None)
+    c1 = Configuration(1, genesis().members + ("j9",))
+    for observer in ("n1", "n2"):
+        h.observe(c1, observer)
+    assert h.nodes["n1"].latest_registry_config() == c1
+    assert node.latest_registry_config() == h.genesis
+    # the join ordered before it began dropping is still applied, and the
+    # final response carries the log position it stopped at
+    responses = []
+    h.sim.register_handler("j1", lambda env: responses.append(env.payload))
+    node.on_checkpoint()
+    h.sim.run(until=h.sim.now + 10.0)
+    assert h.tob.delivered == 3
+    assert [r[5] for r in responses] == [1]
 
 
 def test_checkpoint_gate_defers_when_registry_behind():
@@ -286,7 +325,7 @@ def test_node_built_mid_run_starts_from_confirmed_config():
     assert h.ledger.confirmed_config() == target
     late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
     assert late.locally_observed == {target.key()}
-    assert list(h.tob.observed) == [target]
+    assert late.latest_registry_config() == target
     assert late._last_seen_stored_key == target.key()
 
 

@@ -72,6 +72,8 @@ class AdversaryController:
         self.entries: list[CorruptionEntry] = []
         self.forged_payload: bytes = b""
         self._activated: set[NodeId] = set()
+        # behaviors of activated joiners whose node is not built yet
+        self._deferred: dict[NodeId, tuple[Behavior, ...]] = {}
         self._pending_retirement: list[CorruptionEntry] = []
         self._publications: list[tuple[float, Configuration]] = []
         self.all_activated_at: float | None = None
@@ -116,13 +118,22 @@ class AdversaryController:
             return
         self._runtime_budget_check(entry)
         self._activated.add(entry.node)
-        node = self.nodes[entry.node]
-        node.corrupt(entry.behaviors, self)
+        node = self.nodes.get(entry.node)
+        if node is None:
+            self._deferred[entry.node] = entry.behaviors
+        else:
+            node.corrupt(entry.behaviors, self)
         if self.monitor is not None:
             self.monitor.mark_byzantine(entry.node)
             self.monitor.note(f"{self.sim.now:.2f} corrupted {entry.node}")
         if len(self._activated) == len(self.entries):
             self.all_activated_at = self.sim.now
+
+    def node_built(self, node: BftNode) -> None:
+        """Apply the behaviors of an entry activated before `node` existed."""
+        behaviors = self._deferred.pop(node.id, None)
+        if behaviors is not None:
+            node.corrupt(behaviors, self)
 
     def _runtime_budget_check(self, entry: CorruptionEntry) -> None:
         if self.bypass:

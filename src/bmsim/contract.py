@@ -9,16 +9,10 @@ and dust remains in the contract balance, which keeps conservation exact.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
-from bmsim.errors import InvalidStateError, InvariantViolation
+from bmsim.errors import InvariantViolation
 from bmsim.membership import Configuration, NodeId
-
-
-class VoteMode(enum.Enum):
-    COUNT = "count"
-    STAKE_WEIGHTED = "stake"
 
 
 @dataclass
@@ -68,17 +62,9 @@ class ExecutionReport:
 class RegistryContract:
     """State machine storing the cluster's published configuration."""
 
-    def __init__(
-        self,
-        genesis: Configuration,
-        cost: int = 100,
-        mode: VoteMode = VoteMode.COUNT,
-        stakes: dict[NodeId, int] | None = None,
-    ):
+    def __init__(self, genesis: Configuration, cost: int = 100):
         self.c_cur = genesis
         self.cost = cost
-        self.mode = mode
-        self.stakes = dict(stakes) if stakes else {}
         self.registrations: list[Registration] = []
         # vote sets keyed by (number, members); dicts keep insertion order
         self._votes: dict[tuple, dict[NodeId, None]] = {}
@@ -154,17 +140,6 @@ class RegistryContract:
         members = set(self.c_cur.members)
         return [p for p in self._votes[key] if p in members]
 
-    def _threshold_met(self, counted: list[NodeId]) -> bool:
-        if self.mode is VoteMode.COUNT:
-            return len(counted) >= self.c_cur.v
-        total = 0
-        for member in self.c_cur.members:
-            if member not in self.stakes:
-                raise InvalidStateError(f"no stake recorded for member {member!r}")
-            total += self.stakes[member]
-        voted = sum(self.stakes[p] for p in counted)
-        return 3 * voted > total
-
     def _try_update(self) -> list[UpdateEvent]:
         events = []
         while True:
@@ -174,7 +149,7 @@ class RegistryContract:
                 if number <= self.c_cur.number:
                     continue
                 counted = self._counted_voters(key)
-                if counted and self._threshold_met(counted):
+                if counted and len(counted) >= self.c_cur.v:
                     candidates.append((number, members, counted))
             if not candidates:
                 return events
@@ -227,14 +202,6 @@ class RegistryContract:
             del self._vote_configs[key]
 
     # -- introspection -----------------------------------------------------------
-
-    def weighted_vote_threshold_met(self, config: Configuration) -> bool:
-        if self.mode is not VoteMode.STAKE_WEIGHTED:
-            raise InvalidStateError("contract is not in stake-weighted mode")
-        key = config.key()
-        if key not in self._votes:
-            return False
-        return self._threshold_met(self._counted_voters(key))
 
     def snapshot(self) -> dict:
         """Normalized view of the full state, for oracle comparisons."""

@@ -9,10 +9,6 @@ class InvalidInputError(BmsimError, ValueError):
     """A caller violated an operation precondition."""
 
 
-class InvalidStateError(BmsimError, RuntimeError):
-    """Internal state does not permit the requested operation."""
-
-
 class ScenarioValidationError(BmsimError, ValueError):
     """A scenario file failed validation. `field` names the offending entry."""
 

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from bmsim.canonical import encode
 from bmsim.contract import ExecutionReport, RegistryContract
 from bmsim.errors import InvalidInputError
 from bmsim.membership import Configuration, NodeId
@@ -75,18 +74,6 @@ class LedgerTransaction:
     node: NodeId | None = None          # register
     fee: int = 0                        # register
     config: Configuration | None = None  # vote
-
-    def to_bytes(self) -> bytes:
-        if self.kind == "register":
-            body = (self.kind, self.node, self.fee, self.submitter, self.attached_funds)
-        else:
-            body = (
-                self.kind,
-                self.config.number,
-                tuple(self.config.members),
-                self.submitter,
-            )
-        return encode(body)
 
 
 @dataclass
@@ -238,15 +225,6 @@ class Ledger:
     def head(self) -> Block:
         return self.blocks[-1]
 
-    def is_confirmed(self, tx_id: int, depth: int | None = None) -> bool:
-        record = self.records.get(tx_id)
-        if record is None:
-            raise InvalidInputError(f"unknown transaction {tx_id}")
-        if record.included_height is None:
-            return False
-        depth = self.confirmation_depth if depth is None else depth
-        return self.head.height - record.included_height >= depth
-
     def stored_config_at(self, height: int) -> Configuration:
         idx = bisect.bisect_right(self._config_heights, height) - 1
         return self.config_log[max(idx, 0)][1]
@@ -282,10 +260,3 @@ class Ledger:
 
     def vote_records(self) -> list[TxRecord]:
         return [r for r in self.records.values() if r.tx.kind == "vote" and r.receipt]
-
-    def executed_records(self) -> list[TxRecord]:
-        out = []
-        for block in self.blocks:
-            for tx_id in block.tx_ids:
-                out.append(self.records[tx_id])
-        return out

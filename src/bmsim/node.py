@@ -47,7 +47,9 @@ class TotalOrderBroadcast:
     Every replica would apply a `tob_observed` entry (a member reporting a
     stored registry configuration) in the same way, so the log applies each
     one once, to the observation table it owns, and passes only the
-    reconfiguration requests on to its subscribers.
+    reconfiguration requests on to its subscribers.  Signatures verify the
+    same at every replica too, so the log checks a request's signatures once,
+    on append, and replicas only test membership.
     """
 
     def __init__(self, sim: SimulationCore, latency: float = 0.95):
@@ -68,9 +70,24 @@ class TotalOrderBroadcast:
             return False
         self._keys.add(key)
         index = len(self.log)
-        self.log.append(payload)
+        self.log.append(self._checked(payload))
         self.sim.schedule_in(self.latency, lambda: self._deliver(index), label="tob")
         return True
+
+    def _checked(self, payload: tuple) -> tuple:
+        """A join's proof becomes the confirmers (the joiner left out) whose
+        tags verify; a leave's tag becomes whether it verifies."""
+        kind, auth = payload[0], self.sim.auth
+        if kind == "tob_join":
+            _, joiner, attempt, proof = payload
+            signers = frozenset(
+                c for c, sig in proof if c != joiner and auth.verify(c, ("register_confirm", joiner), sig)
+            )
+            return (kind, joiner, attempt, signers)
+        if kind == "tob_leave":
+            _, node, attempt, sig = payload
+            return (kind, node, attempt, auth.verify(node, ("leave_request", node), sig))
+        return payload
 
     def _deliver(self, index: int) -> None:
         payload = self.log[index]
@@ -111,9 +128,6 @@ class ReconfigRequest:
     kind: str                      # "join" | "leave" | "evict"
     node: NodeId
     attempt: int
-    proof: tuple = ()              # join: ((confirmer, sig), ...)
-    signature: str = ""            # leave: the leaver's own signature
-    pom: tuple = ()                # evict: opaque misbehavior certificate
 
     def key(self):
         return (self.kind, self.node, self.attempt)
@@ -121,7 +135,6 @@ class ReconfigRequest:
 
 @dataclass
 class NodeParams:
-    checkpoint_interval: float = 20.0
     policy: Policy = Policy.EVERY
     fixed_t: int | None = None
     revote_timeout: float = 1110.0
@@ -160,8 +173,6 @@ class BftNode:
         self.behaviors: set[Behavior] = set()
         self.adversary = None     # set when corrupted
 
-        self._queued_keys: set = set()
-        self._processed_keys: set = set()
         self._queued_nodes: set[NodeId] = set()
         self._announce_waiting: dict[NodeId, bool] = {}
         self._last_seen_stored_key: tuple = genesis.key()
@@ -278,12 +289,8 @@ class BftNode:
         kind = env.payload[0]
         if kind == "register_announce":
             self._on_register_announce(env.payload[1])
-        elif kind == "join_request":
-            self._on_join_request(env.payload)
-        elif kind == "leave_request":
-            self._on_leave_request(env.payload)
-        elif kind == "evict_request":
-            self._on_evict_request(env.payload)
+        elif kind in ("join_request", "leave_request", "evict_request"):
+            self._on_request(env.payload)
         elif kind == "query":
             self._on_query(env.payload)
 
@@ -308,23 +315,12 @@ class BftNode:
             self.sim.send(self.id, joiner, ("register_confirm", joiner, self.id, sig))
             self._announce_waiting[joiner] = False
 
-    def _on_join_request(self, payload: tuple) -> None:
+    def _on_request(self, payload: tuple) -> None:
         if not self.active:
             return
-        _, joiner, attempt, proof = payload
-        self.tob.broadcast(("join", joiner, attempt), ("tob_join", joiner, attempt, proof))
-
-    def _on_leave_request(self, payload: tuple) -> None:
-        if not self.active:
-            return
-        _, node, attempt, sig = payload
-        self.tob.broadcast(("leave", node, attempt), ("tob_leave", node, attempt, sig))
-
-    def _on_evict_request(self, payload: tuple) -> None:
-        if not self.active:
-            return
-        _, node, attempt, pom = payload
-        self.tob.broadcast(("evict", node, attempt), ("tob_evict", node, attempt, pom))
+        request, node, attempt, evidence = payload
+        kind = request.removesuffix("_request")
+        self.tob.broadcast((kind, node, attempt), ("tob_" + kind, node, attempt, evidence))
 
     def _on_query(self, payload: tuple) -> None:
         _, client, request_id = payload
@@ -340,55 +336,30 @@ class BftNode:
     # -- total order deliveries ---------------------------------------------------------
 
     def on_tob_deliver(self, index: int, payload: tuple) -> None:
+        """Apply an ordered request whose signatures the log has checked."""
         if self._is_byz(Behavior.DROP_MESSAGES):
             return
-        kind = payload[0]
+        kind, node, attempt, evidence = payload
+        members = self.c_cur.members
         if kind == "tob_join":
-            _, joiner, attempt, proof = payload
-            if joiner in self.c_cur.members:
+            if node in members:
                 # a re-sent request from an already-admitted joiner whose
                 # responses were lost: answer again instead of re-queueing
                 if self.active:
-                    self._send_final_response(joiner)
+                    self._send_final_response(node)
                 return
-            req = ReconfigRequest(kind="join", node=joiner, attempt=attempt, proof=proof)
-            if self._valid_join(req):
-                self._enqueue(req)
+            valid = len(evidence.intersection(members)) > max_faults(self.c_cur)
         elif kind == "tob_leave":
-            _, node, attempt, sig = payload
-            req = ReconfigRequest(kind="leave", node=node, attempt=attempt, signature=sig)
-            if self._valid_leave(req):
-                self._enqueue(req)
-        elif kind == "tob_evict":
-            _, node, attempt, pom = payload
-            req = ReconfigRequest(kind="evict", node=node, attempt=attempt, pom=pom)
-            if self.params.pom_validator(node, pom) and node in self.c_cur.members:
-                self._enqueue(req)
-
-    def _valid_join(self, req: ReconfigRequest) -> bool:
-        if req.node in self.c_cur.members:
-            return False
-        needed = max_faults(self.c_cur) + 1
-        members = set(self.c_cur.members)
-        valid_confirmers = set()
-        for confirmer, sig in req.proof:
-            if confirmer not in members or confirmer == req.node:
-                continue
-            if self.sim.auth.verify(confirmer, ("register_confirm", req.node), sig):
-                valid_confirmers.add(confirmer)
-        return len(valid_confirmers) >= needed
-
-    def _valid_leave(self, req: ReconfigRequest) -> bool:
-        if req.node not in self.c_cur.members:
-            return False
-        return self.sim.auth.verify(req.node, ("leave_request", req.node), req.signature)
+            valid = evidence and node in members
+        else:
+            valid = self.params.pom_validator(node, evidence) and node in members
+        if valid:
+            self._enqueue(ReconfigRequest(kind.removeprefix("tob_"), node, attempt))
 
     def _enqueue(self, req: ReconfigRequest) -> None:
-        if req.key() in self._queued_keys or req.key() in self._processed_keys:
-            return
+        # the log orders each key once; a joiner may re-send under a new one
         if req.node in self._queued_nodes:
             return
-        self._queued_keys.add(req.key())
         self._queued_nodes.add(req.node)
         self.pending.append(req)
         if self.monitor is not None:
@@ -427,7 +398,6 @@ class BftNode:
                 break
             req = self.pending.popleft()
             self._queued_nodes.discard(req.node)
-            self._processed_keys.add(req.key())
             if not self._still_applicable(req):
                 continue
             self._apply_request(req)

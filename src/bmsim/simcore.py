@@ -110,7 +110,6 @@ class SimulationCore:
         self._queue = EventQueue()
         self._handlers: dict[str, Callable[[Envelope], None]] = {}
         self._trace: list[tuple[SimTime, str]] | None = [] if trace else None
-        self._stopped = False
 
     # -- scheduling ---------------------------------------------------------
 
@@ -122,11 +121,8 @@ class SimulationCore:
     def schedule_in(self, delay: SimTime, fn: Callable[[], None], label: str = "event") -> None:
         self.schedule(self.now + delay, fn, label)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def run(self, until: SimTime | None = None) -> None:
-        while len(self._queue) and not self._stopped:
+        while len(self._queue):
             if until is not None and self._queue.peek_time() > until:
                 self.now = until
                 return

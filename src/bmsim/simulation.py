@@ -22,6 +22,9 @@ from bmsim.node import BftNode, JoinerAgent, LeaverAgent, NodeParams, TotalOrder
 from bmsim.scenario import ScenarioConfig
 from bmsim.simcore import NetworkConfig, SimulationCore, TruncatedNormal
 
+# simulated seconds between completion checks; end times are rounded up to it
+RUN_STEP = 50.0
+
 
 @dataclass
 class RunResult:
@@ -74,6 +77,7 @@ class ChurnDriver:
         run = self.run
         if op.op == "join":
             node = run._make_node(op.node)
+            run.adversary.node_built(node)
             agent = JoinerAgent(node)
             self._current_agent = agent
             agent.start()
@@ -138,7 +142,6 @@ class SimulationRun:
         )
         self.tob = TotalOrderBroadcast(self.sim, latency=scenario.tob_latency)
         self.params = NodeParams(
-            checkpoint_interval=scenario.checkpoint_interval,
             policy=scenario.policy,
             fixed_t=scenario.fixed_t,
             revote_timeout=scenario.revote_after(),
@@ -212,7 +215,7 @@ class SimulationRun:
 
     # -- main loop -----------------------------------------------------------------------
 
-    def run(self, max_time: float | None = None, step: float = 50.0) -> RunResult:
+    def run(self, max_time: float | None = None) -> RunResult:
         cap = max_time if max_time is not None else self.scenario.max_sim_time
         self.ledger.start()
         self.sim.schedule_in(
@@ -224,7 +227,7 @@ class SimulationRun:
 
         completed = False
         while self.sim.now < cap:
-            self.sim.run(until=min(self.sim.now + step, cap))
+            self.sim.run(until=min(self.sim.now + RUN_STEP, cap))
             self._maybe_fire_client()
             if self._complete():
                 completed = True

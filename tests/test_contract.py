@@ -3,10 +3,7 @@ reference interpreter."""
 
 import random
 
-import pytest
-
-from bmsim.contract import RegistryContract, VoteMode
-from bmsim.errors import InvalidStateError
+from bmsim.contract import RegistryContract
 from bmsim.membership import Configuration
 
 from reference_contract import ReferenceRegistry
@@ -136,34 +133,6 @@ def test_update_safety_voters_are_prior_members():
     event = c.update_log[-1]
     assert set(event.voters) <= set(event.old.members)
     assert len(event.voters) >= event.old.v
-
-
-# -- stake-weighted mode ----------------------------------------------------------
-
-
-def test_weighted_equal_stakes_half_passes():
-    stakes = {f"n{i}": 10 for i in range(4)}
-    c = RegistryContract(genesis(), cost=100, mode=VoteMode.STAKE_WEIGHTED, stakes=stakes)
-    target = grown(genesis(), "j1")
-    c.apply_vote(target, "n0")
-    assert not c.weighted_vote_threshold_met(target)  # 1/4 <= 1/3
-    report = c.apply_vote(target, "n1")               # 1/2 > 1/3
-    assert report.triggered_update
-
-
-def test_weighted_single_whale_passes():
-    stakes = {"n0": 97, "n1": 1, "n2": 1, "n3": 1}
-    c = RegistryContract(genesis(), cost=100, mode=VoteMode.STAKE_WEIGHTED, stakes=stakes)
-    target = grown(genesis(), "j1")
-    report = c.apply_vote(target, "n0")
-    assert report.triggered_update
-
-
-def test_weighted_missing_stake_is_invalid_state():
-    stakes = {"n0": 1, "n1": 1, "n2": 1}  # n3 missing
-    c = RegistryContract(genesis(), cost=100, mode=VoteMode.STAKE_WEIGHTED, stakes=stakes)
-    with pytest.raises(InvalidStateError):
-        c.apply_vote(grown(genesis(), "j1"), "n0")
 
 
 # -- vote map garbage collection ---------------------------------------------------

@@ -5,7 +5,7 @@ least one path that the seed-1 `t1`/`halff` sweeps and the attack batch do
 not: an eviction submitted by a named member, departures under `halff`, the
 `fixed` policy, pre-GST drops and delays that make an admitted joiner re-send
 its request, and absolute-time corruption with each misbehavior that acts
-during a run.  The sha256 of every CSV (the block trace included) and the end
+during a run, one of them of a joiner activated before its node is built.  The sha256 of every CSV (the block trace included) and the end
 time are pinned, so a refactor that changes the event order on any of these
 paths fails here.
 """
@@ -132,6 +132,21 @@ MATRIX = {
             "joins.csv": "cb6004d98107f45d64087dcb4636b1361691b3980a6e5e5b3106e5362080048e",
             "updates.csv": "ea268cc548f42806d018a75e3478c83801f8a65cb3290b6b2db4d9ff5002e0d8",
             "votes.csv": "fa1ec6993d2f6fea4c6fec8f4c8c43d2f3e1a587ea6720d9f09b2d17ed6a8582",
+        },
+    ),
+    # m1 is corrupted before its join starts: it takes the behavior when it
+    # is built and freezes at the log position it adopts on admission
+    "drop_messages_before_join": (
+        {"seed": 1, "initial_size": 7,
+         "churn": [{"op": "leave", "node": "n5"}] + joins("m0", "m1"),
+         "corruption": corrupt(("m1", 8.3, "drop_messages"))},
+        3050.0,
+        {
+            "blocks.csv": "5d64a8a8f0d57cbec28af7e8f9c89c1704563381f4b5d5c1437a2e647a476064",
+            "configs.csv": "1882726582003223c5bbe04c963bc7933edf1fcd8535e9748b1d62e28605468d",
+            "joins.csv": "efef3fa7394898ee5b5178d3288a9e7b6c57352f5e01febcd462ece493ca1baf",
+            "updates.csv": "93b4c1cc423162988f7e43bd0a8258d9e6e333b1887ed55eabf7db959af259bf",
+            "votes.csv": "5d8292399dbd40c7b2f1458948fd208bb52d42b8ed66c887279bdad74ba11844",
         },
     ),
 }

@@ -5,6 +5,7 @@ ordered log passes to replicas."""
 from bmsim.membership import Policy
 from bmsim.node import BftNode
 from bmsim.scenario import growth_scenario, long_range_scenario, scenario_from_dict
+from bmsim.simcore import AuthRegistry
 from bmsim.simulation import run_scenario
 
 
@@ -119,3 +120,19 @@ def test_replicas_receive_only_reconfiguration_entries(monkeypatch):
     assert result.completed
     assert set(kinds) == {"tob_join"}
     assert len(kinds) == sum(range(4, 30)) == 429  # n members per join at size n
+
+
+def test_log_checks_request_signatures_once(monkeypatch):
+    # the log verifies a join proof when it appends the request, so the
+    # replicas applying the entry verify nothing
+    calls = []
+    verify = AuthRegistry.verify
+
+    def counted(auth, node_id, payload, tag):
+        calls.append(payload[0])
+        return verify(auth, node_id, payload, tag)
+
+    monkeypatch.setattr(AuthRegistry, "verify", counted)
+    result = run_scenario(growth_scenario(Policy.EVERY, 4, 30, seed=1))
+    assert result.completed
+    assert len(calls) == 741

@@ -4,7 +4,6 @@ notifications."""
 import pytest
 
 from bmsim.contract import RegistryContract
-from bmsim.errors import InvalidInputError
 from bmsim.ledger import (
     GasSchedule,
     Ledger,
@@ -82,8 +81,7 @@ def test_txs_execute_in_submission_order():
     run_until_blocks(sim, ledger, 30)
     rec1, rec2 = ledger.records[first], ledger.records[second]
     # both eventually included; only whichever executed first is accepted
-    executed = ledger.executed_records()
-    order = [r.tx_id for r in executed]
+    order = [tx_id for block in ledger.blocks for tx_id in block.tx_ids]
     assert order.index(first) < order.index(second) or rec1.included_height > rec2.included_height
     accepted = [r for r in (rec1, rec2) if r.receipt.accepted]
     assert len(accepted) == 1
@@ -98,15 +96,9 @@ def test_is_confirmed_boundary():
     assert record.included_height is not None
     run_until_blocks(sim, ledger, record.included_height + 36, step=0.9)
     assert ledger.head.height == record.included_height + 36
-    assert not ledger.is_confirmed(tx_id)
+    assert not ledger.registration_confirmed("j1")
     run_until_blocks(sim, ledger, record.included_height + 37, step=0.9)
-    assert ledger.is_confirmed(tx_id)
-
-
-def test_unknown_tx_rejected():
-    _, ledger = make_ledger()
-    with pytest.raises(InvalidInputError):
-        ledger.is_confirmed(999)
+    assert ledger.registration_confirmed("j1")
 
 
 def test_expected_confirmation_time():
@@ -233,18 +225,11 @@ def test_replayed_state_equals_incremental():
         run_until_blocks(sim, ledger, 60)
 
         replay = RegistryContract(genesis(), cost=100)
-        for record in ledger.executed_records():
-            tx = record.tx
+        # executed transactions in block order
+        for tx in [ledger.records[t].tx for block in ledger.blocks for t in block.tx_ids]:
             if tx.kind == "register":
                 replay.apply_register(tx.node, tx.fee)
             else:
                 replay.apply_vote(tx.config, tx.submitter)
         assert replay.snapshot() == ledger.contract.snapshot()
 
-
-def test_transaction_canonical_bytes_golden():
-    tx = vote_tx(Configuration(3, ("a", "b")), "a", at=1.0)
-    raw = tx.to_bytes()
-    assert raw == vote_tx(Configuration(3, ("a", "b")), "a", at=2.0).to_bytes()
-    assert raw != vote_tx(Configuration(4, ("a", "b")), "a").to_bytes()
-    assert raw[0:1] == b"\x06"  # sequence tag

@@ -1,5 +1,5 @@
-"""Replica behavior: proof validation, request queueing, observation quorums,
-checkpoint gating and vote staggering."""
+"""Replica behavior: request validation on the ordered log, request queueing,
+observation quorums, checkpoint gating and vote staggering."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from bmsim.node import (
     BftNode,
     JoinerAgent,
     NodeParams,
-    ReconfigRequest,
     TotalOrderBroadcast,
 )
 from bmsim.simcore import SimulationCore
@@ -45,11 +44,15 @@ class Harness:
         self.tob.broadcast(("observed", config.key(), observer), ("tob_observed", config, observer))
         self.sim.run(until=self.sim.now + self.tob.latency)
 
+    def order(self, kind, node, evidence, attempt=1):
+        """Order a `kind` request for `node` carrying `evidence` (a join's
+        proof, a leave's signature, an evict's certificate) and deliver it."""
+        self.tob.broadcast((kind, node, attempt), ("tob_" + kind, node, attempt, evidence))
+        self.sim.run(until=self.sim.now + self.tob.latency)
+
     def order_join(self, joiner):
         """Order `joiner`'s request on the log and run every member's checkpoint."""
-        proof = self.confirm_proof(joiner, list(self.nodes))
-        self.tob.broadcast(("join", joiner, 1), ("tob_join", joiner, 1, proof))
-        self.sim.run(until=self.sim.now + self.tob.latency)
+        self.order("join", joiner, self.confirm_proof(joiner, list(self.nodes)))
         for node in self.nodes.values():
             node.on_checkpoint()
 
@@ -63,17 +66,17 @@ class Harness:
 def test_join_proof_threshold_boundary():
     h = Harness()
     node = h.nodes["n0"]
-    good = ReconfigRequest("join", "j1", 1, proof=h.confirm_proof("j1", ["n0", "n1"]))
-    assert node._valid_join(good)
-    short = ReconfigRequest("join", "j1", 1, proof=h.confirm_proof("j1", ["n0"]))
-    assert not node._valid_join(short)
+    h.order("join", "j1", h.confirm_proof("j1", ["n0"]))
+    assert not node.pending  # one confirmation, below f+1 = 2
+    h.order("join", "j1", h.confirm_proof("j1", ["n0", "n1"]), attempt=2)
+    assert [req.key() for req in node.pending] == [("join", "j1", 2)]
 
 
 def test_join_proof_superset_still_valid():
     h = Harness()
     node = h.nodes["n0"]
-    full = ReconfigRequest("join", "j1", 1, proof=h.confirm_proof("j1", ["n0", "n1", "n2", "n3"]))
-    assert node._valid_join(full)
+    h.order("join", "j1", h.confirm_proof("j1", ["n0", "n1", "n2", "n3"]))
+    assert len(node.pending) == 1
 
 
 def test_join_proof_rejects_non_member_confirmers():
@@ -81,48 +84,57 @@ def test_join_proof_rejects_non_member_confirmers():
     h.sim.auth.register("x1")
     h.sim.auth.register("x2")
     node = h.nodes["n0"]
-    outsiders = ReconfigRequest("join", "j1", 1, proof=h.confirm_proof("j1", ["x1", "x2"]))
-    assert not node._valid_join(outsiders)
+    h.order("join", "j1", h.confirm_proof("j1", ["x1", "x2"]))
+    assert not node.pending
+
+
+def test_join_proof_forged_confirmation_does_not_count():
+    h = Harness()
+    node = h.nodes["n0"]
+    tags = dict(h.confirm_proof("j1", ["n0", "n2"]))
+    # n1's entry carries n2's tag, so only n0's confirmation verifies
+    h.order("join", "j1", (("n0", tags["n0"]), ("n1", tags["n2"])))
+    assert h.tob.log[-1][3] == frozenset({"n0"})
+    assert not node.pending
 
 
 def test_leave_requires_own_signature():
     h = Harness()
     node = h.nodes["n0"]
-    own = ReconfigRequest(
-        "leave", "n1", 1, signature=h.sim.auth.sign("n1", ("leave_request", "n1"))
-    )
-    assert node._valid_leave(own)
-    forged = ReconfigRequest(
-        "leave", "n1", 1, signature=h.sim.auth.sign("n2", ("leave_request", "n1"))
-    )
-    assert not node._valid_leave(forged)
+    h.order("leave", "n1", h.sim.auth.sign("n2", ("leave_request", "n1")))
+    assert not node.pending  # forged
+    h.order("leave", "n1", h.sim.auth.sign("n1", ("leave_request", "n1")), attempt=2)
+    assert [req.key() for req in node.pending] == [("leave", "n1", 2)]
 
 
 def test_evict_needs_valid_pom():
     h = Harness(pom_ok=("n2",))
     node = h.nodes["n0"]
-    node.on_tob_deliver(0, ("tob_evict", "n2", 1, ("pom", "n2")))
+    h.order("evict", "n2", ("pom", "n2"))
     assert len(node.pending) == 1
-    node.on_tob_deliver(1, ("tob_evict", "n3", 1, ("pom", "n3")))
+    h.order("evict", "n3", ("pom", "n3"))
     assert len(node.pending) == 1  # no proof available for n3
 
 
 def test_duplicate_tob_requests_suppressed():
+    # a joiner that re-sends its request is ordered twice, under two keys,
+    # but queued once
     h = Harness()
     node = h.nodes["n0"]
     proof = h.confirm_proof("j1", ["n0", "n1"])
-    node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
-    node.on_tob_deliver(1, ("tob_join", "j1", 1, proof))
+    h.order("join", "j1", proof)
+    h.order("join", "j1", proof, attempt=2)
     assert len(node.pending) == 1
 
 
 def test_tob_key_dedup_single_delivery():
-    h = Harness()
+    sim = SimulationCore(seed=1)
+    tob = TotalOrderBroadcast(sim)
     seen = []
-    h.tob.subscribe("watcher", lambda i, p: seen.append(p))
-    h.tob.broadcast(("k", 1), ("payload", 1))
-    h.tob.broadcast(("k", 1), ("payload", 1))
-    h.sim.run()
+    tob.subscribe("watcher", lambda i, p: seen.append(p))
+    tob.broadcast(("k", 1), ("payload", 1))
+    tob.broadcast(("k", 1), ("payload", 1))
+    sim.run()
     assert len(seen) == 1
 
 
@@ -185,9 +197,7 @@ def test_agreed_config_outlives_its_quorum_and_late_old_reports():
 def test_dropping_replica_stops_applying_the_log():
     h = Harness()
     node = h.nodes["n0"]
-    proof = h.confirm_proof("j1", ["n0", "n1"])
-    h.tob.broadcast(("join", "j1", 1), ("tob_join", "j1", 1, proof))
-    h.sim.run(until=h.tob.latency)
+    h.order("join", "j1", h.confirm_proof("j1", ["n0", "n1"]))
     node.corrupt({Behavior.DROP_MESSAGES}, adversary=None)
     c1 = Configuration(1, genesis().members + ("j9",))
     for observer in ("n1", "n2"):
@@ -207,12 +217,10 @@ def test_dropping_replica_stops_applying_the_log():
 def test_checkpoint_gate_defers_when_registry_behind():
     h = Harness()
     node = h.nodes["n0"]
-    proof = h.confirm_proof("j1", ["n0", "n1"])
-    node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
+    h.order("join", "j1", h.confirm_proof("j1", ["n0", "n1"]))
     # registry is seen at genesis; after one local reconfig the difference
     # reaches t=1 and the next request must wait
-    proof2 = h.confirm_proof("j2", ["n0", "n1"])
-    node.on_tob_deliver(1, ("tob_join", "j2", 1, proof2))
+    h.order("join", "j2", h.confirm_proof("j2", ["n0", "n1"]))
     node.on_checkpoint()
     assert node.c_cur.number == 1
     assert len(node.pending) == 1  # j2 deferred until the registry catches up
@@ -221,9 +229,8 @@ def test_checkpoint_gate_defers_when_registry_behind():
 def test_checkpoint_processes_batch_under_fixed_threshold():
     h = Harness(policy=Policy.FIXED, fixed_t=2)
     node = h.nodes["n0"]
-    for i, joiner in enumerate(("j1", "j2")):
-        proof = h.confirm_proof(joiner, ["n0", "n1"])
-        node.on_tob_deliver(i, ("tob_join", joiner, 1, proof))
+    for joiner in ("j1", "j2"):
+        h.order("join", joiner, h.confirm_proof(joiner, ["n0", "n1"]))
     node.on_checkpoint()
     assert node.c_cur.number == 2
     assert node.c_cur.size == 6
@@ -234,21 +241,18 @@ def test_vote_trigger_respects_threshold():
     node = h.nodes["n0"]
     submitted = []
     node._submit_vote = lambda target: submitted.append(target.number)
-    proof = h.confirm_proof("j1", ["n0", "n1"])
-    node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
+    h.order("join", "j1", h.confirm_proof("j1", ["n0", "n1"]))
     node.on_checkpoint()
     assert submitted == []  # diff 1 < t=2
-    proof2 = h.confirm_proof("j2", ["n0", "n1"])
-    node.on_tob_deliver(1, ("tob_join", "j2", 1, proof2))
+    h.order("join", "j2", h.confirm_proof("j2", ["n0", "n1"]))
     node.on_checkpoint()
     assert submitted == [2]  # diff reached 2
 
 
 def test_only_threshold_many_members_vote_immediately():
     h = Harness()
-    proof = h.confirm_proof("j1", [f"n{i}" for i in range(4)])
+    h.order("join", "j1", h.confirm_proof("j1", [f"n{i}" for i in range(4)]))
     for node in h.nodes.values():
-        node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
         node.on_checkpoint()
     h.sim.run(until=1.0)
     pending_votes = [r for r in h.ledger.records.values() if r.tx.kind == "vote"]
@@ -261,9 +265,8 @@ def test_backup_tier_votes_when_responsible_withhold():
     h = Harness()
     h.nodes["n0"].behaviors.add(Behavior.WITHHOLD_VOTE)
     h.nodes["n1"].behaviors.add(Behavior.WITHHOLD_VOTE)
-    proof = h.confirm_proof("j1", [f"n{i}" for i in range(4)])
+    h.order("join", "j1", h.confirm_proof("j1", [f"n{i}" for i in range(4)]))
     for node in h.nodes.values():
-        node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
         node.on_checkpoint()
     h.sim.run(until=h.nodes["n2"].params.revote_timeout + 5.0)
     votes = [r for r in h.ledger.records.values() if r.tx.kind == "vote"]
@@ -273,8 +276,7 @@ def test_backup_tier_votes_when_responsible_withhold():
 def test_backup_cancelled_after_publication_observed():
     h = Harness()
     node = h.nodes["n2"]  # rank 2, tier 1 backup
-    proof = h.confirm_proof("j1", [f"n{i}" for i in range(4)])
-    node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
+    h.order("join", "j1", h.confirm_proof("j1", [f"n{i}" for i in range(4)]))
     node.on_checkpoint()
     # simulate the update landing and being observed before the backup fires
     target = node.c_cur
@@ -294,8 +296,7 @@ def test_departing_member_vote_follows_leaver_policy(leavers_vote, expect_votes)
     node.params = NodeParams(leavers_vote=leavers_vote)
     submitted = []
     node._submit_vote = lambda target: submitted.append(target.number)
-    sig = h.sim.auth.sign("n0", ("leave_request", "n0"))
-    node.on_tob_deliver(0, ("tob_leave", "n0", 1, sig))
+    h.order("leave", "n0", h.sim.auth.sign("n0", ("leave_request", "n0")))
     node.on_checkpoint()
     assert not node.active and node.retired
     assert len(submitted) == expect_votes
@@ -307,8 +308,7 @@ def test_silent_behavior_drops_everything():
     node.behaviors.add(Behavior.SILENT)
     submitted = []
     node._submit_vote = lambda target: submitted.append(target)
-    proof = h.confirm_proof("j1", ["n1", "n2"])
-    node.on_tob_deliver(0, ("tob_join", "j1", 1, proof))
+    h.order("join", "j1", h.confirm_proof("j1", ["n1", "n2"]))
     node.on_checkpoint()
     assert submitted == []
 

@@ -166,6 +166,11 @@ class BftNode:
         self.c_cur = genesis
         self.c_last_voted = genesis
         self.pending: deque[ReconfigRequest] = deque()
+        # A checkpoint's `maybe_vote` leaves `c_last_voted` equal to `c_cur`
+        # or less than `_t()` from it, and only applying a pending request or
+        # `adopt` can change that.  So until `adopt` sets this flag again, a
+        # checkpoint with nothing pending changes nothing and the run skips it.
+        self.vote_check_due = True
         self.locally_observed: set[tuple] = set()
         self.app_state: bytes = b"app:0"
         self.active = False
@@ -228,6 +233,7 @@ class BftNode:
             self._agreed = list(self.tob.observed)[agreed_rank]
             self._agreed_rank = agreed_rank
         self._agreed_at = None
+        self.vote_check_due = True
         if self._is_byz(Behavior.DROP_MESSAGES):
             self._frozen_at = log_position
         self.activate(from_log_index=log_position)
@@ -401,6 +407,7 @@ class BftNode:
             if not self._still_applicable(req):
                 continue
             self._apply_request(req)
+        self.vote_check_due = False
         self.maybe_vote()
         if self.retired:
             self.retire()

@@ -49,11 +49,18 @@ class AuthRegistry:
     Per-node secrets are derived from the run seed; a tag verifies only for
     the (node, payload) pair it was produced over.  Nodes may sign arbitrary
     payloads of their own but can never produce another node's tag.
+
+    Many signers sign the same payload (every responder signs one final join
+    response body, and the joiner verifies each tag over it), so each
+    distinct payload is encoded once per run and its bytes are kept.  The
+    memo is keyed by `repr(payload)`, which tells apart values that compare
+    equal but encode differently (`True`, `1` and `1.0`; `"a"` and `b"a"`).
     """
 
     def __init__(self, seed: int):
         self._seed = seed
         self._secrets: dict[str, bytes] = {}
+        self._encoded: dict[str, bytes] = {}   # repr(payload) -> encode(payload)
 
     def register(self, node_id: str) -> None:
         if node_id not in self._secrets:
@@ -67,7 +74,11 @@ class AuthRegistry:
         secret = self._secrets.get(node_id)
         if secret is None:
             raise InvalidInputError(f"unknown node {node_id!r}")
-        return hashlib.sha256(secret + b"|" + encode(payload)).hexdigest()
+        key = repr(payload)
+        encoded = self._encoded.get(key)
+        if encoded is None:
+            encoded = self._encoded[key] = encode(payload)
+        return hashlib.sha256(secret + b"|" + encoded).hexdigest()
 
     def verify(self, node_id: str, payload, tag: str) -> bool:
         if node_id not in self._secrets:

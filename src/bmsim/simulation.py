@@ -184,8 +184,10 @@ class SimulationRun:
     # -- checkpointing -------------------------------------------------------------
 
     def _checkpoint_tick(self) -> None:
-        for node in list(self.nodes.values()):
-            if node.active:
+        # a replica with nothing pending and no vote check due would change
+        # nothing (see `BftNode.vote_check_due`)
+        for node in self.nodes.values():
+            if node.active and (node.pending or node.vote_check_due):
                 node.on_checkpoint()
         self.sim.schedule_in(
             self.scenario.checkpoint_interval, self._checkpoint_tick, label="checkpoint"
@@ -204,10 +206,11 @@ class SimulationRun:
         if any(r.tx.kind == "vote" for r in self.ledger.pending_records()):
             return False
         stored_key = self.contract.c_cur.key()
-        for node in self.correct_active_nodes():
+        for index, node in enumerate(self.correct_active_nodes()):
             if node.pending:
                 return False
-            if node.published().key() != stored_key:
+            # every replica reads the same confirmed configuration
+            if index == 0 and node.published().key() != stored_key:
                 return False
             if symmetric_difference(node.latest_registry_config(), node.c_cur) >= node._t():
                 return False

@@ -2,6 +2,7 @@
 evictions, departures with refunds, forged state toward clients, and what the
 ordered log passes to replicas."""
 
+from bmsim import simcore
 from bmsim.membership import Policy
 from bmsim.node import BftNode
 from bmsim.scenario import growth_scenario, long_range_scenario, scenario_from_dict
@@ -136,3 +137,28 @@ def test_log_checks_request_signatures_once(monkeypatch):
     result = run_scenario(growth_scenario(Policy.EVERY, 4, 30, seed=1))
     assert result.completed
     assert len(calls) == 741
+
+
+def test_checkpoints_visit_replicas_with_work_and_payloads_encode_once(monkeypatch):
+    # a checkpoint calls a replica only with a request pending or a vote
+    # check due, and the registry encodes each distinct signed payload once
+    checkpoints, encoded = [], []
+    checkpoint, encode = BftNode.on_checkpoint, simcore.encode
+
+    def counted_checkpoint(node):
+        checkpoints.append(node.id)
+        checkpoint(node)
+
+    def counted_encode(payload):
+        encoded.append(payload[0])
+        return encode(payload)
+
+    monkeypatch.setattr(BftNode, "on_checkpoint", counted_checkpoint)
+    monkeypatch.setattr(simcore, "encode", counted_encode)
+    result = run_scenario(growth_scenario(Policy.EVERY, 4, 30, seed=1))
+    assert result.completed
+    # each member applies each join once (429); the 4 founders and the 26
+    # joiners have a vote check due at their first checkpoint
+    assert len(checkpoints) == 429 + 4 + 26 == 459
+    # one `register_confirm` and one final response body per join
+    assert len(encoded) == 2 * 26 == 52

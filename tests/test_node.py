@@ -15,7 +15,9 @@ from bmsim.node import (
     NodeParams,
     TotalOrderBroadcast,
 )
+from bmsim.scenario import growth_scenario
 from bmsim.simcore import SimulationCore
+from bmsim.simulation import SimulationRun
 
 
 def genesis(n=4):
@@ -311,6 +313,31 @@ def test_silent_behavior_drops_everything():
     h.order("join", "j1", h.confirm_proof("j1", ["n1", "n2"]))
     node.on_checkpoint()
     assert submitted == []
+
+
+def test_adopted_replica_checks_its_vote_at_first_checkpoint(monkeypatch):
+    # the responders last voted at genesis and the joiner's configuration is
+    # t = 1 away from it: the tick must visit the joiner though nothing is
+    # pending, or its vote gate drifts from the responders'
+    visited = []
+    checkpoint = BftNode.on_checkpoint
+
+    def counted(node):
+        visited.append(node.id)
+        checkpoint(node)
+
+    monkeypatch.setattr(BftNode, "on_checkpoint", counted)
+    run = SimulationRun(growth_scenario(Policy.EVERY, 4, 5, seed=1))
+    run._checkpoint_tick()
+    assert visited == list(run.genesis.members)
+    joiner = run._make_node("j1")
+    config = run.genesis.with_member("j1")
+    joiner.adopt(b"app:0", config, 0, run.genesis.key(), None)
+    assert not joiner.pending and joiner.c_last_voted == run.genesis
+    visited.clear()
+    run._checkpoint_tick()
+    assert visited == ["j1"]
+    assert joiner.c_last_voted == config
 
 
 def test_node_built_mid_run_starts_from_confirmed_config():

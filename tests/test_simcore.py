@@ -1,10 +1,13 @@
 """Engine contracts: scheduling order, synchrony bounds, simulated signatures."""
 
+import itertools
+
 import pytest
 
 from bmsim.canonical import encode
 from bmsim.errors import InvalidInputError
 from bmsim.simcore import (
+    AuthRegistry,
     NetworkConfig,
     SimulationCore,
     TruncatedNormal,
@@ -122,3 +125,33 @@ def test_canonical_encoding_is_stable():
     assert encode(value) != encode(("vote", 3, ("a", "b"), 1.5, b"\x00\x01", False, None))
     # ints are little-endian fixed width
     assert encode(1)[1:] == b"\x01" + b"\x00" * 7
+
+
+def _signer():
+    auth = AuthRegistry(seed=1)
+    auth.register("a")
+    return auth
+
+
+@pytest.mark.parametrize("payloads", [
+    [("x", True), ("x", 1), ("x", 1.0)],
+    [("x", "a"), ("x", b"a")],
+])
+def test_sign_memo_keeps_payloads_that_encode_differently_apart(payloads):
+    # the payloads compare equal or hold the same text, but encode
+    # differently; each signing order warms the memo with a different one
+    cold = {i: _signer().sign("a", payload) for i, payload in enumerate(payloads)}
+    for order in itertools.permutations(range(len(payloads))):
+        auth = _signer()
+        tags = {i: auth.sign("a", payloads[i]) for i in order}
+        assert tags == cold
+        for i, tag in tags.items():
+            for j, other in enumerate(payloads):
+                assert auth.verify("a", other, tag) == (i == j)
+
+
+def test_sign_memo_may_share_a_tuple_and_a_list():
+    # `encode` treats a tuple and a list with equal items alike
+    auth = _signer()
+    assert auth.verify("a", ["x", 1], auth.sign("a", ("x", 1)))
+    assert auth.verify("a", ("x", 1), auth.sign("a", ["x", 1]))

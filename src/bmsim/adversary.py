@@ -83,8 +83,7 @@ class AdversaryController:
         self.nodes = nodes
         self.forged_payload = b"forged-state:" + str(self.sim.seed).encode()
         self._publications.append((0.0, genesis))
-        if self.monitor is not None:
-            self.monitor.forged_payload = self.forged_payload
+        self.monitor.forged_payload = self.forged_payload
         for entry in self.entries:
             if entry.at_time is not None:
                 self.sim.schedule(entry.at_time, lambda e=entry: self._activate(e), label="corrupt")
@@ -123,9 +122,8 @@ class AdversaryController:
             self._deferred[entry.node] = entry.behaviors
         else:
             node.corrupt(entry.behaviors, self)
-        if self.monitor is not None:
-            self.monitor.mark_byzantine(entry.node)
-            self.monitor.note(f"{self.sim.now:.2f} corrupted {entry.node}")
+        self.monitor.mark_byzantine(entry.node)
+        self.monitor.note(f"corrupted {entry.node}")
         if len(self._activated) == len(self.entries):
             self.all_activated_at = self.sim.now
 
@@ -145,10 +143,6 @@ class AdversaryController:
             for at, config in self._publications
             if now - at < self.grace_p or (at, config) == self._publications[-1]
         ]
-        if self._publications:
-            latest = self._publications[-1]
-            if latest not in recent:
-                recent.append(latest)
         for at, config in recent:
             bad = active & set(config.members)
             f = max_faults(config)

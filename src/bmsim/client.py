@@ -23,6 +23,8 @@ class ClientMode(enum.Enum):
 
 
 class ClusterClient:
+    RETRY = 15.0
+
     def __init__(
         self,
         sim: SimulationCore,
@@ -30,8 +32,7 @@ class ClusterClient:
         ledger: Ledger,
         mode: ClientMode,
         p_bound: float,
-        monitor: RunMonitor | None = None,
-        retry_interval: float = 15.0,
+        monitor: RunMonitor,
     ):
         self.sim = sim
         self.id = client_id
@@ -39,14 +40,12 @@ class ClusterClient:
         self.mode = mode
         self.p_bound = p_bound
         self.monitor = monitor
-        self.retry_interval = retry_interval
 
         self.cached_config: Configuration | None = None
         self.cached_at: float | None = None
         self._published_at_refresh: int | None = None
         self._request_ids = itertools.count(1)
         self._inflight: dict[int, dict[bytes, dict[NodeId, None]]] = {}
-        self.outcomes: list[tuple[int, bytes, tuple[NodeId, ...]]] = []
 
         sim.register_handler(client_id, self.handle_envelope)
 
@@ -80,7 +79,7 @@ class ClusterClient:
         for member in self.cached_config.members:
             self.sim.send(self.id, member, ("query", self.id, request_id))
         self.sim.schedule_in(
-            self.retry_interval, lambda: self._retry(request_id), label="client-retry"
+            self.RETRY, lambda: self._retry(request_id), label="client-retry"
         )
 
     def _retry(self, request_id: int) -> None:
@@ -108,15 +107,12 @@ class ClusterClient:
         needed = max_faults(self.cached_config) + 1
         if len(bucket) >= needed:
             del self._inflight[request_id]
-            signers = tuple(sorted(bucket))
-            self.outcomes.append((request_id, payload, signers))
-            if self.monitor is not None:
-                self.monitor.client_accepted(
-                    request_id=request_id,
-                    at=self.sim.now,
-                    payload=payload,
-                    signers=signers,
-                    config_number=self.cached_config.number,
-                    with_registry=self.mode is ClientMode.WITH_REGISTRY,
-                    published_number_at_refresh=self._published_at_refresh,
-                )
+            self.monitor.client_accepted(
+                request_id=request_id,
+                at=self.sim.now,
+                payload=payload,
+                signers=tuple(sorted(bucket)),
+                config_number=self.cached_config.number,
+                with_registry=self.mode is ClientMode.WITH_REGISTRY,
+                published_number_at_refresh=self._published_at_refresh,
+            )

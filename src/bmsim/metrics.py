@@ -1,8 +1,8 @@
 """Run monitor: metric collection plus always-on invariant checks.
 
 The monitor observes every reconfiguration, ordering event and client
-decision.  Violations of protocol invariants abort the run with a trace
-pointer rather than silently producing bad metrics.
+decision.  Violations of protocol invariants abort the run rather than
+silently producing bad metrics.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from bmsim.errors import InvariantViolation
 from bmsim.membership import Configuration, NodeId, overlap_ok, symmetric_difference
+from bmsim.simcore import SimulationCore
 
 
 @dataclass
@@ -88,7 +89,8 @@ class ClientOutcome:
 class RunMonitor:
     """Collects metrics and enforces cross-node invariants during a run."""
 
-    def __init__(self, checkpoint_interval: float = 20.0):
+    def __init__(self, sim: SimulationCore, checkpoint_interval: float = 20.0):
+        self.sim = sim
         self.checkpoint_interval = checkpoint_interval
 
         self.byzantine: set[NodeId] = set()
@@ -103,7 +105,6 @@ class RunMonitor:
         self._ordered: dict[tuple, float] = {}
         self._config_table: dict[int, tuple] = {}
         self._node_chain_pos: dict[NodeId, int] = {}
-        self._events: list[str] = []
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -111,13 +112,7 @@ class RunMonitor:
         self.byzantine.add(node)
 
     def note(self, message: str) -> None:
-        self._events.append(message)
-        if len(self._events) > 200:
-            del self._events[:100]
-
-    def _fail(self, message: str) -> None:
-        tail = " | ".join(self._events[-8:])
-        raise InvariantViolation(f"{message} (recent events: {tail})")
+        self.sim.note(message)
 
     # -- join lifecycle -----------------------------------------------------------
 
@@ -150,7 +145,7 @@ class RunMonitor:
     def node_reconfigured(
         self, node: NodeId, config: Configuration, req_key: tuple, at: float, t: int
     ) -> None:
-        self.note(f"{at:.2f} {node} -> config {config.number} ({len(config.members)})")
+        self.note(f"{node} -> config {config.number} ({len(config.members)})")
         if node in self.byzantine:
             return
         key = (tuple(config.members),)
@@ -158,13 +153,13 @@ class RunMonitor:
         if seen is None:
             self._config_table[config.number] = key
         elif seen != key:
-            self._fail(
+            raise InvariantViolation(
                 f"configuration agreement broken at number {config.number}: "
                 f"{seen} vs {key} (node {node})"
             )
         pos = self._node_chain_pos.get(node, -1)
         if config.number <= pos:
-            self._fail(f"node {node} replayed configuration {config.number}")
+            raise InvariantViolation(f"node {node} replayed configuration {config.number}")
         self._node_chain_pos[node] = config.number
 
         kind, req_node, _ = req_key
@@ -175,7 +170,7 @@ class RunMonitor:
                 record.size = len(config.members)
                 record.t = t
                 if record.ordered_at and record.checkpoint_latency > self.checkpoint_interval + 1e-9:
-                    self._fail(
+                    raise InvariantViolation(
                         f"checkpoint latency {record.checkpoint_latency:.3f}s "
                         f"exceeds the interval for join {req_node}"
                     )
@@ -183,14 +178,14 @@ class RunMonitor:
         if not self.bypass and self.contract is not None:
             published = self.contract.c_cur
             if not overlap_ok(published, config):
-                self._fail(
+                raise InvariantViolation(
                     f"overlap violated: published {published.number} vs local "
                     f"{config.number} on {node} "
                     f"(diff {symmetric_difference(published, config)})"
                 )
 
     def vote_submitted(self, node: NodeId, config: Configuration, at: float) -> None:
-        self.note(f"{at:.2f} {node} votes for {config.number}")
+        self.note(f"{node} votes for {config.number}")
 
     # -- client -------------------------------------------------------------------------
 
@@ -210,7 +205,7 @@ class RunMonitor:
         )
         if with_registry and published_number_at_refresh is not None:
             if config_number < published_number_at_refresh:
-                self._fail(
+                raise InvariantViolation(
                     f"client accepted quorum from configuration {config_number} older "
                     f"than published {published_number_at_refresh}"
                 )

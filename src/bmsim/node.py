@@ -24,6 +24,7 @@ from bmsim.membership import (
     policy_threshold,
     symmetric_difference,
 )
+from bmsim.metrics import RunMonitor
 from bmsim.simcore import Envelope, SimulationCore
 
 
@@ -154,7 +155,7 @@ class BftNode:
         ledger: Ledger,
         genesis: Configuration,
         params: NodeParams,
-        monitor=None,
+        monitor: RunMonitor,
     ):
         self.sim = sim
         self.id = node_id
@@ -368,8 +369,7 @@ class BftNode:
             return
         self._queued_nodes.add(req.node)
         self.pending.append(req)
-        if self.monitor is not None:
-            self.monitor.request_ordered(req.key(), self.sim.now, self.id)
+        self.monitor.request_ordered(req.key(), self.sim.now, self.id)
 
     # -- ledger observation ---------------------------------------------------------------
 
@@ -425,10 +425,7 @@ class BftNode:
             self.c_cur = self.c_cur.without_member(req.node)
             if req.node == self.id:
                 self.retired = True  # finalized after the checkpoint loop
-        if self.monitor is not None:
-            self.monitor.node_reconfigured(
-                self.id, self.c_cur, req.key(), self.sim.now, self._t()
-            )
+        self.monitor.node_reconfigured(self.id, self.c_cur, req.key(), self.sim.now, self._t())
         if req.kind == "join":
             self._send_final_response(req.node)
 
@@ -494,8 +491,7 @@ class BftNode:
             kind="vote", submitter=self.id, submitted_at=self.sim.now, config=target
         )
         self.ledger.submit_tx(tx)
-        if self.monitor is not None:
-            self.monitor.vote_submitted(self.id, target, self.sim.now)
+        self.monitor.vote_submitted(self.id, target, self.sim.now)
 
 
 class JoinerAgent:
@@ -505,25 +501,20 @@ class JoinerAgent:
     ANNOUNCE_RETRY = 60.0
     REQUEST_RETRY = 300.0
 
-    def __init__(self, node: BftNode, on_admitted: Callable[["JoinerAgent"], None] | None = None):
+    def __init__(self, node: BftNode):
         self.node = node
         self.sim = node.sim
         self.ledger = node.ledger
-        self.on_admitted = on_admitted
 
-        self.started_at: float | None = None
         self.register_tx_id: int | None = None
         self.c_read: Configuration | None = None
         self.confirmations: dict[NodeId, str] = {}
         self.proof_done_at: float | None = None
-        self.request_sent_at: float | None = None
         self.attempt = 0
         self.admitted = False
-        self.admitted_at: float | None = None
         self.responses: dict[tuple, dict[NodeId, None]] = {}
 
     def start(self) -> None:
-        self.started_at = self.sim.now
         node_id = self.node.id
         fee = self.node.params.registration_fee
         tx = LedgerTransaction(
@@ -563,8 +554,7 @@ class JoinerAgent:
             needed = max_faults(self.c_read) + 1
             if len(self.confirmations) >= needed:
                 self.proof_done_at = self.sim.now
-                if self.node.monitor is not None:
-                    self.node.monitor.proof_complete(self.node.id, self.sim.now)
+                self.node.monitor.proof_complete(self.node.id, self.sim.now)
                 self._send_request()
 
     def _record_confirm(self, payload: tuple) -> bool:
@@ -580,13 +570,11 @@ class JoinerAgent:
         if self.admitted:
             return
         self.attempt += 1
-        self.request_sent_at = self.sim.now
         proof = tuple(sorted(self.confirmations.items()))
         payload = ("join_request", self.node.id, self.attempt, proof)
         for member in self.c_read.members:
             self.sim.send(self.node.id, member, payload)
-        if self.node.monitor is not None:
-            self.node.monitor.join_request_sent(self.node.id, self.sim.now)
+        self.node.monitor.join_request_sent(self.node.id, self.sim.now)
         self.sim.schedule_in(self.REQUEST_RETRY, self._maybe_resend, label="request-retry")
 
     def _maybe_resend(self) -> None:
@@ -607,13 +595,9 @@ class JoinerAgent:
         needed = max_faults(config) + 1
         if len(bucket) >= needed:
             self.admitted = True
-            self.admitted_at = self.sim.now
             self.node.adopt(app_state, config, log_pos, last_voted, rank)
             self.sim.register_handler(self.node.id, self.node.handle_envelope)
-            if self.node.monitor is not None:
-                self.node.monitor.join_admitted(self.node.id, self.sim.now)
-            if self.on_admitted is not None:
-                self.on_admitted(self)
+            self.node.monitor.join_admitted(self.node.id, self.sim.now)
 
 
 class LeaverAgent:

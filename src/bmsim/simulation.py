@@ -128,7 +128,7 @@ class SimulationRun:
         genesis = Configuration(0, scenario.initial_members())
         self.genesis = genesis
         self.contract = RegistryContract(genesis, cost=scenario.registration_cost)
-        self.monitor = RunMonitor(checkpoint_interval=scenario.checkpoint_interval)
+        self.monitor = RunMonitor(self.sim, checkpoint_interval=scenario.checkpoint_interval)
         self.monitor.contract = self.contract
         self.monitor.bypass = scenario.bypass_validation
         self.ledger = Ledger(
@@ -219,6 +219,8 @@ class SimulationRun:
     # -- main loop -----------------------------------------------------------------------
 
     def run(self, max_time: float | None = None) -> RunResult:
+        """Run to completion or `max_time`.  An invariant violation from any
+        layer leaves with the engine's recent events appended to its message."""
         cap = max_time if max_time is not None else self.scenario.max_sim_time
         self.ledger.start()
         self.sim.schedule_in(
@@ -229,14 +231,19 @@ class SimulationRun:
         self.driver.start()
 
         completed = False
-        while self.sim.now < cap:
-            self.sim.run(until=min(self.sim.now + RUN_STEP, cap))
-            self._maybe_fire_client()
-            if self._complete():
-                completed = True
-                break
-        if completed:
-            self._final_checks()
+        try:
+            while self.sim.now < cap:
+                self.sim.run(until=min(self.sim.now + RUN_STEP, cap))
+                self._maybe_fire_client()
+                if self._complete():
+                    completed = True
+                    break
+            if completed:
+                self._final_checks()
+        except InvariantViolation as exc:
+            events = "".join(f"\n  {at:.6f} {label}" for at, label in self.sim.trace)
+            exc.args = (f"{exc}\nrecent events, oldest first:{events}",)
+            raise
         return self._collect(completed)
 
     def _maybe_fire_client(self) -> None:
@@ -255,7 +262,7 @@ class SimulationRun:
             return False
         if self.scenario.corruption and self.adversary.all_activated_at is None:
             return False
-        if self.client is not None and not self.client.outcomes:
+        if self.client is not None and not self.monitor.client_outcomes:
             return False
         return True
 

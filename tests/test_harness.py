@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bmsim.errors import InvalidInputError, ScenarioValidationError
+from bmsim.errors import InvalidInputError, InvariantViolation, ScenarioValidationError
 from bmsim.harness import (
     COST_ANCHORS,
     attack_demo,
@@ -172,8 +172,9 @@ def _value_paths(value, path=()):
 FUZZ_PATHS = list(_value_paths(FUZZ_BASE))
 MISSPELL = "misspell the key"   # a pool entry that renames the key instead
 # wrong types, negatives, zero, None and unknown keys; the positive values
-# are small, so no accepted case builds a large cluster or a long run
-FUZZ_POOL = [None, True, "x", [], {}, -1, -2.5, 0, 0.0, 1, 2.5, MISSPELL]
+# are small, so no accepted case builds a large cluster, and a tiny interval
+# that would make a practically endless run exhausts the event budget
+FUZZ_POOL = [None, True, "x", [], {}, -1, -2.5, 0, 0.0, 1e-6, 1, 2.5, MISSPELL]
 
 
 def _mutated(path, value):
@@ -203,7 +204,11 @@ def test_fuzzed_scenario_is_rejected_or_runs(path, value):
         scenario.validate()
     except ScenarioValidationError:
         return
-    result = run_scenario(scenario)
+    try:
+        result = run_scenario(scenario)
+    except InvariantViolation as exc:
+        assert str(exc).startswith("event budget exhausted")
+        return
     assert result.end_time <= scenario.max_sim_time
 
 
@@ -343,6 +348,16 @@ def test_cli_malformed_scenario_exits_1_without_traceback(tmp_path):
     proc = run_cli("run", str(scenario_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
     assert "checkpoint_interval" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_runaway_scenario_exits_2_with_recent_events(tmp_path):
+    scenario_path = tmp_path / "runaway.json"
+    scenario_path.write_text(json.dumps(small_scenario_dict(checkpoint_interval=1e-6)))
+    proc = run_cli("run", str(scenario_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "event budget exhausted" in proc.stderr
+    assert "recent events" in proc.stderr and " checkpoint\n" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,13 +1,17 @@
 """End-to-end scenario behaviors beyond the default sweep: eventual synchrony,
-evictions, departures with refunds, forged state toward clients, and what the
-ordered log passes to replicas."""
+evictions, departures with refunds, forged state toward clients, what the
+ordered log passes to replicas, and the recent events a violation reports."""
+
+import pytest
 
 from bmsim import simcore
+from bmsim.contract import RegistryContract
+from bmsim.errors import InvariantViolation
 from bmsim.membership import Policy
 from bmsim.node import BftNode
 from bmsim.scenario import growth_scenario, long_range_scenario, scenario_from_dict
 from bmsim.simcore import AuthRegistry
-from bmsim.simulation import run_scenario
+from bmsim.simulation import SimulationRun, run_scenario
 
 
 def test_join_completes_despite_pre_gst_drops():
@@ -162,3 +166,33 @@ def test_checkpoints_visit_replicas_with_work_and_payloads_encode_once(monkeypat
     assert len(checkpoints) == 429 + 4 + 26 == 459
     # one `register_confirm` and one final response body per join
     assert len(encoded) == 2 * 26 == 52
+
+
+def test_contract_violation_reports_recent_events(monkeypatch):
+    original = RegistryContract.apply_register
+
+    def apply_register(contract, node, fee):
+        report = original(contract, node, fee)
+        if report.accepted:
+            contract.total_collected -= fee   # credit the balance only
+        return report
+
+    monkeypatch.setattr(RegistryContract, "apply_register", apply_register)
+    run = SimulationRun(growth_scenario(Policy.EVERY, 4, 6, seed=1))
+    with pytest.raises(InvariantViolation, match="^fee conservation broken") as err:
+        run.run()
+    events = str(err.value).split("\nrecent events, oldest first:\n", 1)[1].splitlines()
+    assert events == [f"  {at:.6f} {label}" for at, label in run.sim.trace]
+    assert events[-1].endswith(" block")   # the block that executed the registration
+    assert any(" deliver:" in line for line in events)
+
+
+def test_monitor_violation_carries_the_trace_once():
+    run = SimulationRun(growth_scenario(Policy.EVERY, 4, 5, seed=1))
+    run.monitor.checkpoint_interval = -1.0   # every processed join is now late
+    with pytest.raises(InvariantViolation, match="^checkpoint latency") as err:
+        run.run()
+    message = str(err.value)
+    assert message.count("recent events") == 1
+    last_at, last_label = run.sim.trace[-1]
+    assert message.endswith(f"  {last_at:.6f} {last_label}")

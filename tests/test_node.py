@@ -31,7 +31,7 @@ class Harness:
         self.contract = RegistryContract(self.genesis, cost=100)
         self.ledger = Ledger(self.sim, self.contract)
         self.tob = TotalOrderBroadcast(self.sim)
-        self.monitor = RunMonitor()
+        self.monitor = RunMonitor(self.sim)
         self.monitor.contract = self.contract
         params = NodeParams(policy=policy, fixed_t=fixed_t,
                             pom_validator=lambda node, pom: node in pom_ok)
@@ -187,7 +187,7 @@ def test_agreed_config_outlives_its_quorum_and_late_old_reports():
     assert node.latest_registry_config() == c1
     # a joiner admitted now takes the members' agreed answer from its
     # final responses, though c1 has too few reports under its view
-    late = BftNode(h.sim, "j4", h.tob, h.ledger, h.genesis, node.params)
+    late = BftNode(h.sim, "j4", h.tob, h.ledger, h.genesis, node.params, h.monitor)
     agent = JoinerAgent(late)
     h.sim.register_handler("j4", agent.handle_envelope)
     h.order_join("j4")
@@ -357,7 +357,7 @@ def test_node_built_mid_run_starts_from_confirmed_config():
 
 
 def test_monitor_rejects_checkpoint_latency_beyond_interval():
-    monitor = RunMonitor(checkpoint_interval=20.0)
+    monitor = RunMonitor(SimulationCore(seed=1), checkpoint_interval=20.0)
     monitor.join_started("j1", 0.0, 1.0)
     monitor.request_ordered(("join", "j1", 1), 10.0, "n0")
     # exactly one interval between ordering and processing is allowed

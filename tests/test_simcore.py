@@ -92,7 +92,7 @@ def test_sign_unknown_node_rejected():
 
 def test_identical_seed_identical_trace():
     def run_once():
-        sim = SimulationCore(seed=42, trace=True)
+        sim = SimulationCore(seed=42)
         sim.register_handler("b", lambda env: None)
         sim.auth.register("a")
         for i in range(20):

@@ -3,12 +3,11 @@ gas-schedule calibration, with CSV emission."""
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-from scipy.optimize import least_squares
 
 from bmsim.errors import InvalidInputError
 from bmsim.ledger import GasSchedule, PriceModel, usd_cost
@@ -205,13 +204,67 @@ def growth_update_events(policy: Policy, from_size: int, to_size: int) -> list[t
     return events
 
 
-def _model_per_join(params: np.ndarray, g_base: float, event: tuple[int, int, int]) -> float:
-    g_vote_store, g_vote_per_member, g_first_vote_init, g_update_fixed, g_update_per_member = params
+def _model_per_join(params: Sequence[float], g_base: float, event: tuple[int, int, int]) -> float:
+    """Per-join gas of one registry update, linear in `params`: g_vote_store,
+    g_vote_per_member, the fixed update cost (g_first_vote_init plus
+    g_update_fixed, each paid once per update) and g_update_per_member."""
+    g_vote_store, g_vote_per_member, g_update_total, g_update_per_member = params
     new_size, pub, batch = event
     votes = (pub - 1) // 3 + 1
     per_vote = g_base + g_vote_store + g_vote_per_member * pub
-    total = votes * per_vote + g_first_vote_init + g_update_fixed + g_update_per_member * batch
+    total = votes * per_vote + g_update_total + g_update_per_member * batch
     return total / batch
+
+
+def _nnls(a: list[list[float]], b: list[float]) -> list[float]:
+    """Lawson–Hanson non-negative least squares: the x >= 0 minimizing
+    |a x - b|.  Columns are scaled to unit length; each step solves the normal
+    equations of the free columns by Gauss–Jordan elimination."""
+    n = len(a[0])
+    norms = [math.sqrt(sum(row[j] ** 2 for row in a)) or 1.0 for j in range(n)]
+    a = [[v / norm for v, norm in zip(row, norms)] for row in a]
+
+    def gradient(x):
+        residual = [bi - sum(v * xj for v, xj in zip(row, x)) for row, bi in zip(a, b)]
+        return [sum(row[j] * r for row, r in zip(a, residual)) for j in range(n)]
+
+    def solve_free(free):
+        # augmented normal equations [a_F^T a_F | a_F^T b]
+        m = [[sum(row[i] * row[j] for row in a) for j in free]
+             + [sum(row[i] * bi for row, bi in zip(a, b))] for i in free]
+        for c in range(len(free)):
+            pivot = max(range(c, len(free)), key=lambda r: abs(m[r][c]))
+            m[c], m[pivot] = m[pivot], m[c]
+            for r in range(len(free)):
+                if r != c:
+                    f = m[r][c] / m[c][c]
+                    m[r] = [v - f * p for v, p in zip(m[r], m[c])]
+        z = [0.0] * n
+        for r, j in enumerate(free):
+            z[j] = m[r][-1] / m[r][r]
+        return z
+
+    x = [0.0] * n
+    free: list[int] = []
+    # a few passes reach the optimum; the cap stops a cycle caused by rounding
+    for _ in range(3 * n):
+        w = gradient(x)
+        bound = [j for j in range(n) if j not in free and w[j] > 1e-12]
+        if not bound:
+            break
+        free.append(max(bound, key=w.__getitem__))
+        while True:
+            z = solve_free(free)
+            if all(z[j] > 0 for j in free):
+                x = z
+                break
+            # step toward z until the first free variable reaches zero
+            steps = {j: x[j] / (x[j] - z[j]) for j in free if z[j] <= 0}
+            first = min(steps, key=steps.get)
+            x = [max(0.0, xj + steps[first] * (zj - xj)) for xj, zj in zip(x, z)]
+            x[first] = 0.0
+            free = [j for j in free if x[j] > 0]
+    return [xj / norm for xj, norm in zip(x, norms)]
 
 
 @dataclass
@@ -246,8 +299,12 @@ def calibrate_gas(
     from_size: int = 4,
     to_size: int = 100,
 ) -> CalibrationResult:
-    """Least-squares fit of the vote/update gas constants to the published
-    per-join cost anchors, under the adaptive announcement policy."""
+    """Non-negative least-squares fit of the vote/update gas constants to the
+    published per-join cost anchors, under the adaptive announcement policy.
+
+    Each update pays `g_first_vote_init` and `g_update_fixed` once, so the fit
+    cannot tell them apart: it puts their sum in `g_update_fixed` and sets
+    `g_first_vote_init` to 0."""
     price = price or PriceModel()
     if anchors is None:
         anchors = {size: COST_ANCHORS[size] for size in DEFAULT_ANCHOR_SIZES}
@@ -270,24 +327,12 @@ def calibrate_gas(
 
     sizes = sorted(anchors)
 
-    def residuals(params):
-        return [
-            (_model_per_join(params, defaults.g_base, matched[s]) - targets[s]) / targets[s]
-            for s in sizes
-        ]
-
-    x0 = np.array(
-        [
-            defaults.g_vote_store,
-            defaults.g_vote_per_member,
-            defaults.g_first_vote_init,
-            defaults.g_update_fixed,
-            defaults.g_update_per_member,
-        ],
-        dtype=float,
-    )
-    fit = least_squares(residuals, x0, bounds=(0.0, np.inf), xtol=1e-12, ftol=1e-12)
-    params = fit.x
+    # the model is linear: per join = offset + row . params, each term
+    # scaled by its target so every anchor weighs the same
+    offsets = {s: _model_per_join((0, 0, 0, 0), defaults.g_base, matched[s]) for s in sizes}
+    units = [tuple(float(i == j) for i in range(4)) for j in range(4)]
+    rows = [[_model_per_join(u, 0, matched[s]) / targets[s] for u in units] for s in sizes]
+    params = _nnls(rows, [(targets[s] - offsets[s]) / targets[s] for s in sizes])
 
     model_gas = {s: _model_per_join(params, defaults.g_base, matched[s]) for s in sizes}
     gas_res = {s: (model_gas[s] - anchors[s][0]) / anchors[s][0] for s in sizes}
@@ -299,9 +344,9 @@ def calibrate_gas(
         g_base=defaults.g_base,
         g_vote_store=int(round(params[0])),
         g_vote_per_member=int(round(params[1])),
-        g_first_vote_init=int(round(params[2])),
-        g_update_fixed=int(round(params[3])),
-        g_update_per_member=int(round(params[4])),
+        g_first_vote_init=0,
+        g_update_fixed=int(round(params[2])),
+        g_update_per_member=int(round(params[3])),
         g_register=defaults.g_register,
         refund_per_freed_member=defaults.refund_per_freed_member,
     )

@@ -1,8 +1,8 @@
 """Pure membership arithmetic: fault bounds, quorums, overlap and batching.
 
-Everything here is side-effect free and total over non-empty configurations.
-Empty configurations are rejected rather than mapped to zero so that scenario
-bugs surface early.
+Everything here is side-effect free and total over configurations, which
+are never empty: `Configuration` rejects an empty member list rather than
+mapping it to zero so that scenario bugs surface early.
 """
 
 from __future__ import annotations
@@ -52,14 +52,8 @@ class Configuration:
         return Configuration(self.number + 1, tuple(m for m in self.members if m != node))
 
 
-def _require_nonempty(c: Configuration) -> None:
-    if not c.members:
-        raise InvalidInputError("empty configuration")
-
-
 def max_faults(c: Configuration) -> int:
     """Largest tolerated number of Byzantine members: floor((n - 1) / 3)."""
-    _require_nonempty(c)
     return (len(c.members) - 1) // 3
 
 
@@ -71,8 +65,6 @@ def vote_threshold(c: Configuration) -> int:
 def overlap_ok(c_pub: Configuration, c_local: Configuration) -> bool:
     """True when the two configurations share enough members to keep the
     registry updatable: the overlap must exceed both fault budgets combined."""
-    _require_nonempty(c_pub)
-    _require_nonempty(c_local)
     overlap = len(set(c_pub.members) & set(c_local.members))
     return overlap >= max_faults(c_pub) + max_faults(c_local) + 1
 
@@ -83,7 +75,6 @@ def max_batch_threshold(c_pub: Configuration) -> int:
 
     For n = 3f + 1 this equals ceil(n / 2).
     """
-    _require_nonempty(c_pub)
     n = len(c_pub.members)
     f = max_faults(c_pub)
     return (3 * f) // 2 + 1 + ((n - 1) % 3)
@@ -92,7 +83,6 @@ def max_batch_threshold(c_pub: Configuration) -> int:
 def max_correct_leavers(c_pub: Configuration) -> int:
     """How many correct members may depart before publishing becomes
     impossible: n - (2f + 1)."""
-    _require_nonempty(c_pub)
     return len(c_pub.members) - (2 * max_faults(c_pub) + 1)
 
 
@@ -115,7 +105,6 @@ def policy_threshold(policy: Policy, c_cur: Configuration, fixed_t: int | None =
     HALF_F floors at 1: for small clusters floor(f/2) would be 0, but even a
     single membership change must eventually be announced.
     """
-    _require_nonempty(c_cur)
     if policy is Policy.EVERY:
         return 1
     if policy is Policy.HALF_F:

@@ -180,7 +180,9 @@ class BftNode:
         self.adversary = None     # set when corrupted
 
         self._queued_nodes: set[NodeId] = set()
-        self._announce_waiting: dict[NodeId, bool] = {}
+        # joiners announced here and not yet confirmed: a dict, not a set, so
+        # confirmations go out in arrival order whatever the hash seed
+        self._announce_waiting: dict[NodeId, None] = {}
         self._last_seen_stored_key: tuple = genesis.key()
         # the last answer of `latest_registry_config`, its rank in the log's
         # table (None: genesis) and the count of applied observations it was
@@ -311,16 +313,14 @@ class BftNode:
     def _on_register_announce(self, joiner: NodeId) -> None:
         if not self._serves_announce():
             return
-        self._announce_waiting[joiner] = True
+        self._announce_waiting[joiner] = None
         self._maybe_confirm(joiner)
 
     def _maybe_confirm(self, joiner: NodeId) -> None:
-        if not self._announce_waiting.get(joiner):
-            return
         if self.ledger.registration_confirmed(joiner):
             sig = self.sim.auth.sign(self.id, ("register_confirm", joiner))
             self.sim.send(self.id, joiner, ("register_confirm", joiner, self.id, sig))
-            self._announce_waiting[joiner] = False
+            del self._announce_waiting[joiner]
 
     def _on_request(self, payload: tuple) -> None:
         if not self.active:
@@ -377,9 +377,8 @@ class BftNode:
         """Called at each block that confirms a stored configuration or an
         accepted registration."""
         self._observe_confirmed_config()
-        for joiner, waiting in list(self._announce_waiting.items()):
-            if waiting:
-                self._maybe_confirm(joiner)
+        for joiner in list(self._announce_waiting):
+            self._maybe_confirm(joiner)
 
     def _observe_confirmed_config(self) -> None:
         stored = self.ledger.confirmed_config()

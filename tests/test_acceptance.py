@@ -10,7 +10,6 @@ import statistics
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bmsim.harness import (
@@ -106,7 +105,7 @@ def test_acceptance_4_ordering_latency(t1_sweep):
     sizes = [j.size for j in t1_sweep.joins]
     mean = statistics.mean(values)
     assert abs(mean - 0.95) <= 0.05
-    slope = np.polyfit(sizes, values, 1)[0]
+    slope = statistics.linear_regression(sizes, values).slope
     assert abs(slope) < 1e-3, f"ordering latency drifts with size: {slope}"
     report(4, f"ordering latency {mean:.3f}s, constant across sizes (slope {slope:.2e})")
 
@@ -126,11 +125,12 @@ def test_acceptance_5_transaction_latency(t1_sweep):
 
 def test_acceptance_6_gas_shape_every(t1_sweep):
     per_join = [(u.size, u.total_gas / u.joiners) for u in t1_sweep.updates if u.joiners]
-    sizes = np.array([p[0] for p in per_join], dtype=float)
-    gas = np.array([p[1] for p in per_join], dtype=float)
-    slope, intercept = np.polyfit(sizes, gas, 1)
-    predicted = slope * sizes + intercept
-    r2 = 1.0 - ((gas - predicted) ** 2).sum() / ((gas - gas.mean()) ** 2).sum()
+    sizes = [p[0] for p in per_join]
+    gas = [p[1] for p in per_join]
+    slope, intercept = statistics.linear_regression(sizes, gas)
+    mean = statistics.mean(gas)
+    ss_res = sum((g - (slope * s + intercept)) ** 2 for s, g in zip(sizes, gas))
+    r2 = 1.0 - ss_res / sum((g - mean) ** 2 for g in gas)
     assert slope > 0
     assert r2 >= 0.9
 

@@ -7,7 +7,8 @@ not: an eviction submitted by a named member, departures under `halff`, the
 its request, and absolute-time corruption with each misbehavior that acts
 during a run, one of them of a joiner activated before its node is built.  The sha256 of every CSV (the block trace included) and the end
 time are pinned, so a refactor that changes the event order on any of these
-paths fails here.
+paths fails here.  The same scenarios also check, at every checkpoint tick,
+that the correct replicas hold the same replicated state.
 """
 
 import hashlib
@@ -15,8 +16,9 @@ import hashlib
 import pytest
 
 from bmsim.harness import write_result_csvs
+from bmsim.node import BftNode
 from bmsim.scenario import scenario_from_dict
-from bmsim.simulation import run_scenario
+from bmsim.simulation import SimulationRun, run_scenario
 
 
 def joins(*names):
@@ -169,3 +171,43 @@ def test_golden_matrix(name, tmp_path):
     assert result.completed
     assert result.end_time == end_time
     assert digests == golden
+
+
+@pytest.mark.parametrize("name", list(MATRIX))
+def test_correct_replicas_agree_at_every_checkpoint(name, monkeypatch):
+    """Before and after every checkpoint tick, the correct, active replicas
+    that still apply the ordered log hold one `c_cur`, one queue of pending
+    request keys and one `c_last_voted`.  Before the tick, a replica admitted
+    since the previous tick may hold an older `c_last_voted`: a final response
+    carries the responder's from before its vote, and the joiner's first
+    checkpoint catches up.  The check only reads state: it never calls
+    `latest_registry_config`, which moves that replica's cache."""
+    adopted = set()
+    ticks = []
+    original_adopt = BftNode.adopt
+    original_tick = SimulationRun._checkpoint_tick
+
+    def adopt(node, *args):
+        adopted.add(node.id)
+        original_adopt(node, *args)
+
+    def check_group(run, exempt_from_last_voted):
+        group = [n for n in run.correct_active_nodes() if n._frozen_at is None]
+        states = {(n.c_cur.key(), tuple(r.key() for r in n.pending)) for n in group}
+        assert len(states) == 1, f"t={run.sim.now}: replicas disagree: {states}"
+        voted = {n.c_last_voted.key() for n in group if n.id not in exempt_from_last_voted}
+        assert len(voted) <= 1, f"t={run.sim.now}: c_last_voted disagrees: {voted}"
+
+    def checkpoint_tick(run):
+        check_group(run, adopted)
+        original_tick(run)
+        check_group(run, ())
+        ticks.append(run.sim.now)
+        adopted.clear()
+
+    monkeypatch.setattr(BftNode, "adopt", adopt)
+    monkeypatch.setattr(SimulationRun, "_checkpoint_tick", checkpoint_tick)
+    scenario = scenario_from_dict(dict(MATRIX[name][0], name=name))
+    result = run_scenario(scenario)
+    assert result.completed and result.end_time == MATRIX[name][1]
+    assert len(ticks) >= result.end_time // scenario.checkpoint_interval - 1

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from bmsim.errors import InvalidInputError, InvariantViolation, ScenarioValidationError
 from bmsim.harness import (
     COST_ANCHORS,
+    _model_per_join,
     attack_demo,
     calibrate_gas,
     growth_update_events,
     resolve_out_dir,
     write_result_csvs,
 )
+from bmsim.ledger import GasSchedule, PriceModel, usd_cost
 from bmsim.membership import Policy
 from bmsim.metrics import CONFIGS_HEADER, JOINS_HEADER, UPDATES_HEADER, VOTES_HEADER
 from bmsim.scenario import growth_scenario, load_scenario, scenario_from_dict
@@ -290,6 +292,40 @@ def test_calibration_hits_anchor_tolerances():
     assert all(abs(r) <= 0.10 for r in cal.usd_residuals.values())
 
 
+@pytest.mark.parametrize(
+    "known",
+    [
+        GasSchedule(),
+        GasSchedule(g_vote_store=0, g_vote_per_member=565, g_first_vote_init=0,
+                    g_update_fixed=114_009, g_update_per_member=0),
+        GasSchedule(g_vote_store=0, g_vote_per_member=194, g_first_vote_init=0,
+                    g_update_fixed=31_474, g_update_per_member=50_295),
+        GasSchedule(g_vote_store=2_500, g_vote_per_member=0, g_first_vote_init=40_000,
+                    g_update_fixed=1, g_update_per_member=7),
+    ],
+    ids=["defaults", "calibrated", "all_anchors", "split_fixed_cost"],
+)
+def test_calibration_recovers_a_known_schedule(known):
+    """Anchors priced exactly by a non-negative schedule at every update of the
+    growth run give back its identifiable constants, with the fixed update cost
+    (first-vote init plus update fixed) fitted as one sum."""
+    price = PriceModel()
+    fixed = known.g_first_vote_init + known.g_update_fixed
+    params = (known.g_vote_store, known.g_vote_per_member, fixed, known.g_update_per_member)
+    anchors = {}
+    for event in growth_update_events(Policy.HALF_F, 4, 100):
+        gas = _model_per_join(params, known.g_base, event)
+        anchors[event[0]] = (gas, usd_cost(gas, price))
+    cal = calibrate_gas(anchors, price)
+    fit = cal.schedule
+    assert not cal.degenerate and cal.max_residual() < 1e-9
+    assert all(value >= 0 for value in fit.as_dict().values())
+    assert abs(fit.g_vote_store - known.g_vote_store) <= 1
+    assert abs(fit.g_vote_per_member - known.g_vote_per_member) <= 1
+    assert abs(fit.g_update_per_member - known.g_update_per_member) <= 1
+    assert fit.g_first_vote_init == 0 and abs(fit.g_update_fixed - fixed) <= 1
+
+
 def test_growth_events_match_simulated_updates():
     result = run_scenario(growth_scenario(Policy.HALF_F, 4, 30, seed=4))
     predicted = growth_update_events(Policy.HALF_F, 4, 30)
@@ -305,7 +341,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, env=None):
-    """Run `python -m bmsim.cli` from the repo root with `<repo>/src` importable;
+    return run_python("-m", "bmsim.cli", *args, env=env)
+
+
+def run_python(*args, env=None):
+    """Run `python *args` from the repo root with `<repo>/src` importable;
     a run that hangs fails the test with `subprocess.TimeoutExpired`."""
     import os
 
@@ -316,7 +356,7 @@ def run_cli(*args, env=None):
     inherited = full_env.get("PYTHONPATH")
     full_env["PYTHONPATH"] = src + os.pathsep + inherited if inherited else src
     return subprocess.run(
-        [sys.executable, "-m", "bmsim.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=full_env,
@@ -370,8 +410,18 @@ def test_cli_attack_demo_small(tmp_path):
 
 
 def test_cli_calibrate_gas(tmp_path):
-    proc = run_cli("calibrate-gas", "--out", str(tmp_path))
+    # a fresh process that imports the CLI and fits the gas schedule loads
+    # nothing beyond bmsim and the standard library
+    code = (
+        "import sys; before = set(sys.modules); import bmsim.cli; "
+        f"code = bmsim.cli.main(['calibrate-gas', '--out', {str(tmp_path)!r}]); "
+        "print(*sorted(set(sys.modules) - before)); sys.exit(code)"
+    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.splitlines()[-1].split()}
+    assert "bmsim" in loaded
+    assert loaded - {"bmsim"} <= sys.stdlib_module_names
     schedule = json.loads((tmp_path / "gas_schedule.json").read_text())
     assert schedule["g_base"] == 21000
 

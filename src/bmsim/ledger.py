@@ -126,6 +126,7 @@ class Ledger:
         self.blocks: list[Block] = [Block(height=0, produced_at=0.0)]
         self.records: dict[int, TxRecord] = {}
         self._pending: list[int] = []
+        self.pending_votes = 0     # vote transactions submitted, not yet executed
         self._tx_ids = itertools.count(1)
         # (height, config) for every stored-configuration change, genesis first
         self.config_log: list[tuple[int, Configuration]] = [(0, contract.c_cur)]
@@ -158,6 +159,8 @@ class Ledger:
             tx_id=tx_id, tx=tx, ready_at=tx.submitted_at + delay, inclusion_delay=delay
         )
         self._pending.append(tx_id)
+        if tx.kind == "vote":
+            self.pending_votes += 1
         return tx_id
 
     def _produce_block(self) -> None:
@@ -190,6 +193,7 @@ class Ledger:
                 self._registration_heights[tx.node] = block.height
                 self._change_heights.add(block.height)
         elif tx.kind == "vote":
+            self.pending_votes -= 1
             report = self.contract.apply_vote(tx.config, tx.submitter)
             for event in report.updates:
                 self.config_log.append((block.height, event.new))
@@ -254,9 +258,6 @@ class Ledger:
         self._publication_hooks.append(hook)
 
     # -- reporting ----------------------------------------------------------------------
-
-    def pending_records(self) -> list[TxRecord]:
-        return [self.records[tx_id] for tx_id in self._pending]
 
     def vote_records(self) -> list[TxRecord]:
         return [r for r in self.records.values() if r.tx.kind == "vote" and r.receipt]

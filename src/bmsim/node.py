@@ -495,13 +495,14 @@ class BftNode:
 
 class JoinerAgent:
     """Drives one node through register, proof collection, request and
-    admission."""
+    admission, and calls `on_admitted` (if given) once admitted."""
 
     ANNOUNCE_RETRY = 60.0
     REQUEST_RETRY = 300.0
 
-    def __init__(self, node: BftNode):
+    def __init__(self, node: BftNode, on_admitted: Callable[[], None] | None = None):
         self.node = node
+        self.on_admitted = on_admitted
         self.sim = node.sim
         self.ledger = node.ledger
 
@@ -597,6 +598,8 @@ class JoinerAgent:
             self.node.adopt(app_state, config, log_pos, last_voted, rank)
             self.sim.register_handler(self.node.id, self.node.handle_envelope)
             self.node.monitor.join_admitted(self.node.id, self.sim.now)
+            if self.on_admitted is not None:
+                self.on_admitted()
 
 
 class LeaverAgent:

@@ -3,6 +3,7 @@ replicas, churn driver, adversary and client."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from bmsim.adversary import AdversaryController
@@ -52,7 +53,26 @@ class RunResult:
 class ChurnDriver:
     """Paces the churn sequence: the next membership change starts only when
     the previous one is fully settled (admitted, any triggered publication
-    executed, confirmed and observed by every correct replica)."""
+    executed, confirmed and observed by every correct replica).
+
+    The driver checks an op on a 5 s grid from the op's start.  A check that
+    fails because the joiner is not admitted yet, or because the ledger has
+    not confirmed the stored configuration yet, would keep failing without
+    side effects until that admission (`JoinerAgent` calls `wake`) or the
+    ledger's next confirmation (a ledger observer), so the driver parks
+    there.  Any other failed check re-arms 5 s later.
+
+    `wake` schedules the check at the first grid point after the parked one
+    that is at or after now, so each op starts at the same grid time as with
+    a check every 5 s.  Grid points are multiples of 5 s from time 0, so
+    exact floats.  The woken check keeps its order with every event at its
+    time that was scheduled at least 5 s earlier: checkpoint ticks at the
+    default 20 s interval, announce and request retries, absolute-time
+    corruption.  Only an event scheduled less than 5 s before a grid point
+    that lands exactly on it (checkpoint intervals under 5 s, short revote
+    timeouts, TOB latency) could fall on the other side of the check;
+    `tests/test_churn_driver.py` runs such settings against a 5 s poller.
+    """
 
     POLL = 5.0
 
@@ -63,6 +83,9 @@ class ChurnDriver:
         self.done = False
         self._current_agent: JoinerAgent | None = None
         self._current_op = None
+        # the grid time of the failed check the driver is parked at
+        self._parked_at: float | None = None
+        run.ledger.add_observer(self.wake)
 
     def start(self) -> None:
         self._next_op()
@@ -78,7 +101,7 @@ class ChurnDriver:
         if op.op == "join":
             node = run._make_node(op.node)
             run.adversary.node_built(node)
-            agent = JoinerAgent(node)
+            agent = JoinerAgent(node, on_admitted=self.wake)
             self._current_agent = agent
             agent.start()
             delay = run.ledger.records[agent.register_tx_id].inclusion_delay
@@ -98,6 +121,8 @@ class ChurnDriver:
         if self._settled():
             self._current_agent = None
             self._next_op()
+        elif self._awaits_event():
+            self._parked_at = self.run.sim.now
         else:
             self.run.sim.schedule_in(self.POLL, self._poll, label="driver-poll")
 
@@ -112,6 +137,25 @@ class ChurnDriver:
             if not target.retired:
                 return False
         return run.quiescent()
+
+    def _awaits_event(self) -> bool:
+        """Whether the op cannot settle before an admission or a confirmation."""
+        agent = self._current_agent
+        if agent is not None and not agent.admitted:
+            return True
+        return not self.run.publication_confirmed()
+
+    def wake(self) -> None:
+        """Check again at the next grid point, if parked."""
+        parked = self._parked_at
+        if parked is None:
+            return
+        self._parked_at = None
+        sim = self.run.sim
+        at = parked + max(1, math.ceil((sim.now - parked) / self.POLL)) * self.POLL
+        if at < sim.now:   # the division rounded down
+            at += self.POLL
+        sim.schedule(at, self._poll, label="driver-poll")
 
 
 class SimulationRun:
@@ -202,15 +246,25 @@ class SimulationRun:
             if n.active and n.id not in self.monitor.byzantine
         ]
 
+    def publication_confirmed(self) -> bool:
+        """Whether the ledger has confirmed the configuration the contract stores."""
+        return self.ledger.confirmed_config().key() == self.contract.c_cur.key()
+
     def quiescent(self) -> bool:
-        if any(r.tx.kind == "vote" for r in self.ledger.pending_records()):
+        """No vote in flight, the stored configuration confirmed, and every
+        correct active replica with nothing pending and its latest registry
+        answer less than `_t()` from `c_cur`.
+
+        `latest_registry_config` latches each replica's answer, so which
+        replicas it is asked of is part of the output: the walk stops at the
+        first replica that is not settled, after the ledger checks."""
+        if self.ledger.pending_votes or not self.publication_confirmed():
             return False
-        stored_key = self.contract.c_cur.key()
-        for index, node in enumerate(self.correct_active_nodes()):
+        byzantine = self.monitor.byzantine
+        for node in self.nodes.values():
+            if not node.active or node.id in byzantine:
+                continue
             if node.pending:
-                return False
-            # every replica reads the same confirmed configuration
-            if index == 0 and node.published().key() != stored_key:
                 return False
             if symmetric_difference(node.latest_registry_config(), node.c_cur) >= node._t():
                 return False

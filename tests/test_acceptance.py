@@ -346,9 +346,13 @@ def test_output_independent_of_hash_seed(tmp_path):
     outputs = {}
     for hash_seed in ("0", "1"):
         out = tmp_path / hash_seed
-        proc = run_cli("sweep", "--policy", "t1", "--to", "20", "--out", str(out),
-                       env={"PYTHONHASHSEED": hash_seed})
-        assert proc.returncode == 0, proc.stderr
+        env = {"PYTHONHASHSEED": hash_seed}
+        for args in (("sweep", "--policy", "t1", "--to", "20"),
+                     ("attack-demo", "--mode", "bms", "--seeds", "3")):
+            proc = run_cli(*args, "--out", str(out), env=env)
+            assert proc.returncode == 0, proc.stderr
         outputs[hash_seed] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
-    assert sorted(outputs["0"]) == ["configs.csv", "joins.csv", "summary.csv", "updates.csv", "votes.csv"]
+    assert sorted(outputs["0"]) == [
+        "attack_with_bms.csv", "configs.csv", "joins.csv", "summary.csv", "updates.csv", "votes.csv"
+    ]
     assert outputs["0"] == outputs["1"]

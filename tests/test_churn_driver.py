@@ -1,0 +1,183 @@
+"""The parked churn driver against a 5 s poller.
+
+`ChurnDriver` parks while an op waits for an admission or a confirmation and
+is woken onto its 5 s grid (see its docstring).  `PollingDriver` below is the
+driver without parking: it checks every 5 s from the op's start, with the
+quiescence check that walks every pending transaction and builds the list of
+correct replicas.  Both run the same generated small scenarios, which vary
+what could move an event onto the other side of a woken check: checkpoint
+intervals under and over the 5 s grid, short and long revote timeouts, zero
+and long TOB latency, every churn op, every corruption behaviour and pre-GST
+drops.  Every CSV (the block trace included), the end time and the
+completion flag must be equal, and the parked driver must check less often.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from bmsim.errors import ScenarioValidationError
+from bmsim.harness import write_result_csvs
+from bmsim.membership import symmetric_difference
+from bmsim.scenario import scenario_from_dict
+from bmsim.simulation import ChurnDriver, SimulationRun
+
+BEHAVIORS = ("silent", "withhold_vote", "vote_bogus", "drop_messages", "stale_quorum")
+CHECKPOINT_INTERVALS = (1.0, 2.5, 5.0, 20.0)
+REVOTE_TIMEOUTS = (2.0, 200.0)
+TOB_LATENCIES = (0.0, 5.0)
+
+
+class PollingDriver(ChurnDriver):
+    """Checks every 5 s until the op settles and never parks."""
+
+    def _poll(self) -> None:
+        if self._settled():
+            self._current_agent = None
+            self._next_op()
+        else:
+            self.run.sim.schedule_in(self.POLL, self._poll, label="driver-poll")
+
+    def _settled(self) -> bool:
+        op = self._current_op
+        if op.op == "join":
+            if not self._current_agent.admitted:
+                return False
+        elif not self.run.nodes[op.node].retired:
+            return False
+        return polled_quiescent(self.run)
+
+    def wake(self) -> None:
+        pass
+
+
+def polled_quiescent(run) -> bool:
+    """Quiescence as a walk over every transaction and a list of the correct
+    active replicas, the stored-configuration check at the first of them."""
+    if any(r.tx.kind == "vote" and r.receipt is None for r in run.ledger.records.values()):
+        return False
+    stored_key = run.contract.c_cur.key()
+    for index, node in enumerate(run.correct_active_nodes()):
+        if node.pending:
+            return False
+        if index == 0 and node.published().key() != stored_key:
+            return False
+        if symmetric_difference(node.latest_registry_config(), node.c_cur) >= node._t():
+            return False
+    return True
+
+
+def _candidate(rng: random.Random, index: int, settings: tuple) -> dict:
+    interval, revote, latency = settings
+    size = rng.randint(4, 7)
+    members = [f"n{i}" for i in range(size)]
+    churn, poms, joiners = [], [], 0
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("join", "join", "leave", "evict")) if churn else "join"
+        if kind == "join" or len(members) <= 4:
+            node = f"m{joiners}"
+            joiners += 1
+            members.append(node)
+            churn.append({"op": "join", "node": node})
+            continue
+        node = rng.choice(members)
+        members.remove(node)
+        op = {"op": kind, "node": node}
+        if kind == "evict":
+            poms.append(node)
+            if rng.random() < 0.5:
+                op["by"] = rng.choice(members)
+        churn.append(op)
+    declared = [f"n{i}" for i in range(size)] + [f"m{i}" for i in range(joiners)]
+    behavior = BEHAVIORS[index % len(BEHAVIORS)]
+    data = {
+        "name": f"driver-{index}",
+        "seed": 100 + index,
+        "initial_size": size,
+        "churn": churn,
+        "valid_poms": poms,
+        "checkpoint_interval": interval,
+        "revote_timeout": revote,
+        "tob_latency": latency,
+        "confirmation_depth": rng.randint(0, 10),
+        "corruption": [{"node": rng.choice(declared), "at_time": round(rng.uniform(0.0, 1500.0), 1),
+                        "behaviors": [behavior]}],
+        "max_sim_time": 12_000.0,
+    }
+    if index % 3 == 0:
+        data["network"] = {"gst": rng.uniform(200.0, 1500.0),
+                           "pre_gst_drop_probability": rng.uniform(0.2, 0.6),
+                           "pre_gst_max_delay": 30.0}
+    if behavior == "stale_quorum" or index % 4 == 1:
+        data["client"] = {"mode": "with_bms"}
+    return data
+
+
+def generated_scenarios(per_setting: int = 6) -> list[dict]:
+    """`per_setting` valid scenarios for each combination of checkpoint
+    interval, revote timeout and TOB latency, corruption behaviours taken in
+    turn."""
+    rng = random.Random(13)
+    out = []
+    combos = itertools.product(CHECKPOINT_INTERVALS, REVOTE_TIMEOUTS, TOB_LATENCIES)
+    for index, settings in enumerate(itertools.chain.from_iterable(
+        itertools.repeat(combo, per_setting) for combo in combos
+    )):
+        while True:
+            data = _candidate(rng, index, settings)
+            try:
+                scenario_from_dict(data).validate()
+            except ScenarioValidationError:
+                continue
+            out.append(data)
+            break
+    return out
+
+
+SCENARIOS = generated_scenarios()
+
+
+def run_with(data, driver_cls, out_dir):
+    run = SimulationRun(scenario_from_dict(data))
+    if driver_cls is not None:
+        run.driver = driver_cls(run)
+    driver = run.driver
+    polls = [0]
+    poll = driver._poll
+
+    def counted_poll():
+        polls[0] += 1
+        poll()
+
+    # `_next_op` and `wake` schedule `self._poll`, found on the instance first
+    driver._poll = counted_poll
+    result = run.run()
+    paths = write_result_csvs(result, out_dir, block_trace=True)
+    return result, {name: path.read_bytes() for name, path in paths.items()}, polls[0]
+
+
+def test_generated_scenarios_cover_the_settings():
+    ops = {op["op"] for data in SCENARIOS for op in data["churn"]}
+    assert ops == {"join", "leave", "evict"}
+    assert {data["corruption"][0]["behaviors"][0] for data in SCENARIOS} == set(BEHAVIORS)
+    assert any("network" in data for data in SCENARIOS)
+    assert {(d["checkpoint_interval"], d["revote_timeout"], d["tob_latency"]) for d in SCENARIOS} == set(
+        itertools.product(CHECKPOINT_INTERVALS, REVOTE_TIMEOUTS, TOB_LATENCIES)
+    )
+
+
+@pytest.mark.parametrize("data", SCENARIOS, ids=[d["name"] for d in SCENARIOS])
+def test_parked_driver_matches_polling_driver(data, tmp_path):
+    parked, parked_csvs, parked_polls = run_with(data, None, tmp_path / "parked")
+    polled, polled_csvs, polled_polls = run_with(data, PollingDriver, tmp_path / "polled")
+    assert (parked.completed, parked.end_time) == (polled.completed, polled.end_time)
+    assert parked_csvs == polled_csvs
+    assert 0 < parked_polls < polled_polls
+
+
+def test_some_generated_scenarios_complete(tmp_path):
+    completed = sum(
+        run_with(data, None, tmp_path / data["name"])[0].completed for data in SCENARIOS[:8]
+    )
+    assert completed >= 4

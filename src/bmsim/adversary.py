@@ -4,8 +4,9 @@ Corruption respects the model's budget: while a configuration is the latest
 published one (or was published less than the grace period ago), at most f of
 its members may misbehave.  Members of long-retired configurations may be
 corrupted without limit, which is what the long-range attack exploits.
-Schedules are validated statically so broken scenarios fail before any event
-runs.
+`ScenarioConfig.validate` checks the budget of every configuration a
+scenario's churn passes through before any event runs; the controller checks
+it again at each activation against the configurations actually published.
 """
 
 from __future__ import annotations
@@ -28,35 +29,6 @@ class CorruptionEntry:
     def describe(self) -> str:
         when = f"t={self.at_time}" if self.at_time is not None else "retirement+P"
         return f"{self.node}@{when}"
-
-
-def validate_schedule(
-    entries: list[CorruptionEntry],
-    projected_configs: list[tuple[NodeId, ...]],
-    bypass: bool = False,
-) -> None:
-    """Static check against the per-configuration corruption budget.
-
-    Publication wall-times are not known before the run, so entries with an
-    absolute activation time are counted against every projected configuration
-    they belong to; retirement-relative entries are safe by construction
-    because every configuration containing the node is at least the grace
-    period old when the trigger fires.
-    """
-    if bypass:
-        return
-    timed = [e for e in entries if e.at_time is not None]
-    for index, members in enumerate(projected_configs):
-        member_set = set(members)
-        bad = [e for e in timed if e.node in member_set]
-        f = (len(members) - 1) // 3
-        if len(bad) > f:
-            names = ", ".join(e.describe() for e in bad)
-            raise ScenarioValidationError(
-                "corruption",
-                f"configuration #{index} ({len(members)} members) would have "
-                f"{len(bad)} > f={f} corruptible members: {names}",
-            )
 
 
 class AdversaryController:
@@ -145,7 +117,7 @@ class AdversaryController:
         ]
         for at, config in recent:
             bad = active & set(config.members)
-            f = max_faults(config)
+            f = max_faults(config.size)
             if len(bad) > f:
                 raise ScenarioValidationError(
                     "corruption",

@@ -24,6 +24,7 @@ from bmsim.harness import (
     sweep,
 )
 from bmsim.membership import Policy
+from bmsim.scenario import check_range
 
 POLICY_NAMES = {"t1": Policy.EVERY, "halff": Policy.HALF_F}
 
@@ -63,6 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_arguments(args)
+    except ScenarioValidationError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    try:
         return _dispatch(args)
     except ScenarioValidationError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -70,6 +76,17 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    except InvalidInputError as exc:   # such as a sweep or attack run that hit the simulation cap
+        print(exc, file=sys.stderr)
+        return 2
+
+
+def _check_arguments(args) -> None:
+    """Range-check the numeric arguments like scenario fields, before any run."""
+    if args.command == "sweep":
+        check_range("--to", args.to_size, {"gt": args.from_size})
+    elif args.command == "attack-demo":
+        check_range("--seeds", args.seeds, {"ge": 1})
 
 
 def _dispatch(args) -> int:

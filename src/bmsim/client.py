@@ -104,7 +104,7 @@ class ClusterClient:
             return
         bucket = buckets.setdefault(payload, {})
         bucket[responder] = None
-        needed = max_faults(self.cached_config) + 1
+        needed = max_faults(self.cached_config.size) + 1
         if len(bucket) >= needed:
             del self._inflight[request_id]
             self.monitor.client_accepted(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from bmsim.errors import InvalidInputError
 from bmsim.ledger import GasSchedule, PriceModel, usd_cost
-from bmsim.membership import Configuration, Policy, policy_threshold
+from bmsim.membership import Policy, policy_threshold
 from bmsim.metrics import (
     BLOCKS_HEADER,
     configs_csv,
@@ -20,7 +20,7 @@ from bmsim.metrics import (
     updates_csv,
     votes_csv,
 )
-from bmsim.scenario import growth_scenario, long_range_scenario
+from bmsim.scenario import growth_scenario, load_scenario, long_range_scenario
 from bmsim.simulation import RunResult, run_scenario
 
 OUTPUT_ENV_VAR = "BMS_SIM_OUT"
@@ -80,8 +80,6 @@ def write_result_csvs(
 
 def run_file(path: str, seed: int | None = None, out: str | None = None,
              block_trace: bool = False, skip_confirmation: bool = False) -> RunResult:
-    from bmsim.scenario import load_scenario
-
     scenario = load_scenario(path)
     if seed is not None:
         scenario.seed = seed
@@ -111,9 +109,7 @@ def sweep(
     scenario = growth_scenario(policy, from_size, to_size, seed=seed, gas=gas)
     result = run_scenario(scenario)
     if not result.completed:
-        raise InvalidInputError(
-            f"sweep did not complete within the simulation cap (ended at {result.end_time})"
-        )
+        raise InvalidInputError(f"{scenario.name}: hit the simulation cap at t={result.end_time:.1f}s")
     if write:
         out_dir = resolve_out_dir(out)
         analytic = scenario.confirmation_depth * scenario.block_mean if skip_confirmation else None
@@ -173,7 +169,9 @@ def attack_demo(mode: str, seeds: int | list[int] = 100, out: str | None = None,
         scenario = long_range_scenario(mode=mode, seed=seed)
         result = run_scenario(scenario)
         if not result.completed:
-            raise InvalidInputError(f"attack run seed={seed} did not complete")
+            raise InvalidInputError(
+                f"attack run seed={seed}: hit the simulation cap at t={result.end_time:.1f}s"
+            )
         runs.append((seed, result.forged_accepted, result.honest_accepted))
     report = AttackReport(mode=mode, runs=runs)
     if write:
@@ -197,7 +195,7 @@ def growth_update_events(policy: Policy, from_size: int, to_size: int) -> list[t
     while cur < to_size:
         cur += 1
         batch = cur - pub
-        t = policy_threshold(policy, Configuration(0, tuple(f"n{i}" for i in range(cur))))
+        t = policy_threshold(policy, cur)
         if batch >= t:
             events.append((cur, pub, batch))
             pub = cur

@@ -2,7 +2,9 @@
 
 Everything here is side-effect free and total over configurations, which
 are never empty: `Configuration` rejects an empty member list rather than
-mapping it to zero so that scenario bugs surface early.
+mapping it to zero so that scenario bugs surface early.  A bound that
+depends only on the member count takes the count, so scenario validation
+can check every configuration of a churn without building one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Configuration:
         if not self.members:
             raise InvalidInputError("configuration must have at least one member")
         if self.v < 0:
-            object.__setattr__(self, "v", max_faults(self) + 1)
+            object.__setattr__(self, "v", max_faults(len(self.members)) + 1)
 
     @property
     def size(self) -> int:
@@ -52,38 +54,36 @@ class Configuration:
         return Configuration(self.number + 1, tuple(m for m in self.members if m != node))
 
 
-def max_faults(c: Configuration) -> int:
-    """Largest tolerated number of Byzantine members: floor((n - 1) / 3)."""
-    return (len(c.members) - 1) // 3
+def max_faults(n: int) -> int:
+    """Largest tolerated number of Byzantine members among n: floor((n - 1) / 3)."""
+    return (n - 1) // 3
 
 
 def vote_threshold(c: Configuration) -> int:
     """Votes required to replace `c` at the registry: one more than max_faults."""
-    return max_faults(c) + 1
+    return max_faults(c.size) + 1
 
 
 def overlap_ok(c_pub: Configuration, c_local: Configuration) -> bool:
     """True when the two configurations share enough members to keep the
     registry updatable: the overlap must exceed both fault budgets combined."""
     overlap = len(set(c_pub.members) & set(c_local.members))
-    return overlap >= max_faults(c_pub) + max_faults(c_local) + 1
+    return overlap >= max_faults(c_pub.size) + max_faults(c_local.size) + 1
 
 
-def max_batch_threshold(c_pub: Configuration) -> int:
-    """Upper bound on the batching threshold relative to the published
-    configuration: floor(3f/2) + 1 + ((n - 1) mod 3).
+def max_batch_threshold(n: int) -> int:
+    """Upper bound on the batching threshold relative to a published
+    configuration of `n` members: floor(3f/2) + 1 + ((n - 1) mod 3).
 
     For n = 3f + 1 this equals ceil(n / 2).
     """
-    n = len(c_pub.members)
-    f = max_faults(c_pub)
-    return (3 * f) // 2 + 1 + ((n - 1) % 3)
+    return (3 * max_faults(n)) // 2 + 1 + ((n - 1) % 3)
 
 
-def max_correct_leavers(c_pub: Configuration) -> int:
-    """How many correct members may depart before publishing becomes
-    impossible: n - (2f + 1)."""
-    return len(c_pub.members) - (2 * max_faults(c_pub) + 1)
+def max_correct_leavers(n: int) -> int:
+    """How many correct members may depart from a published configuration of
+    `n` members before publishing becomes impossible: n - (2f + 1)."""
+    return n - (2 * max_faults(n) + 1)
 
 
 def symmetric_difference(c_i: Configuration, c_j: Configuration) -> int:
@@ -99,8 +99,8 @@ class Policy(enum.Enum):
     FIXED = "fixed"        # test-only: a constant threshold
 
 
-def policy_threshold(policy: Policy, c_cur: Configuration, fixed_t: int | None = None) -> int:
-    """Announcement threshold in force for the current configuration.
+def policy_threshold(policy: Policy, n: int, fixed_t: int | None = None) -> int:
+    """Announcement threshold in force for a current configuration of n members.
 
     HALF_F floors at 1: for small clusters floor(f/2) would be 0, but even a
     single membership change must eventually be announced.
@@ -108,7 +108,7 @@ def policy_threshold(policy: Policy, c_cur: Configuration, fixed_t: int | None =
     if policy is Policy.EVERY:
         return 1
     if policy is Policy.HALF_F:
-        return max(1, max_faults(c_cur) // 2)
+        return max(1, max_faults(n) // 2)
     if policy is Policy.FIXED:
         if fixed_t is None or fixed_t < 1:
             raise InvalidInputError("fixed policy needs fixed_t >= 1")

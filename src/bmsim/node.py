@@ -244,7 +244,7 @@ class BftNode:
     # -- helpers -----------------------------------------------------------------
 
     def _t(self, config: Configuration | None = None) -> int:
-        return policy_threshold(self.params.policy, config or self.c_cur, self.params.fixed_t)
+        return policy_threshold(self.params.policy, (config or self.c_cur).size, self.params.fixed_t)
 
     def _is_byz(self, behavior: Behavior) -> bool:
         return behavior in self.behaviors
@@ -275,7 +275,7 @@ class BftNode:
         cached = self._latest_cache
         if cached is not None:
             return cached
-        threshold = max_faults(self.c_cur) + 1
+        threshold = max_faults(self.c_cur.size) + 1
         members = set(self.c_cur.members)
         best, rank = self._agreed, self._agreed_rank
         for index, (config, observers) in enumerate(self.tob.observed_at(self._log_position()).items()):
@@ -355,7 +355,7 @@ class BftNode:
                 if self.active:
                     self._send_final_response(node)
                 return
-            valid = len(evidence.intersection(members)) > max_faults(self.c_cur)
+            valid = len(evidence.intersection(members)) > max_faults(self.c_cur.size)
         elif kind == "tob_leave":
             valid = evidence and node in members
         else:
@@ -551,7 +551,7 @@ class JoinerAgent:
             self._record_confirm(payload)
             return
         if self._record_confirm(payload):
-            needed = max_faults(self.c_read) + 1
+            needed = max_faults(self.c_read.size) + 1
             if len(self.confirmations) >= needed:
                 self.proof_done_at = self.sim.now
                 self.node.monitor.proof_complete(self.node.id, self.sim.now)
@@ -592,7 +592,7 @@ class JoinerAgent:
         bucket = self.responses.setdefault(key, {})
         bucket[responder] = None
         config = Configuration(number, tuple(members))
-        needed = max_faults(config) + 1
+        needed = max_faults(config.size) + 1
         if len(bucket) >= needed:
             self.admitted = True
             self.node.adopt(app_state, config, log_pos, last_voted, rank)

@@ -4,9 +4,11 @@ generator.
 Scenarios are plain JSON, and the dataclass declarations below are their
 schema.  Each field states its type, its default, its JSON path when it sits
 in a section (`block`, `tx_inclusion`, `network`) and its range (`gt`, `ge`,
-`le`, `choices`).  Parsing rejects unknown keys and wrongly typed values;
-validation checks the ranges and the cross-field rules.  Both happen before
-any event runs and name the offending field.
+`le`, `choices`).  Parsing (`scenario_from_dict`, `load_scenario`) rejects
+unknown keys and wrongly typed values; `ScenarioConfig.validate` checks the
+ranges and the cross-field rules.  `SimulationRun` validates every scenario,
+from a file, a generator below or built directly, once before any event runs.
+Each error names the offending field.
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ import enum
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from bmsim.adversary import CorruptionEntry, validate_schedule
+from bmsim.adversary import CorruptionEntry
 from bmsim.client import ClientMode
 from bmsim.errors import InvalidInputError, ScenarioValidationError
 from bmsim.ledger import GasSchedule, PriceModel
-from bmsim.membership import Configuration, Policy, max_batch_threshold, max_correct_leavers, policy_threshold
+from bmsim.membership import Policy, max_batch_threshold, max_correct_leavers, max_faults, policy_threshold
 from bmsim.node import Behavior
 from bmsim.simcore import TruncatedNormal
 
@@ -104,22 +107,12 @@ class ScenarioConfig:
     def initial_members(self) -> tuple[str, ...]:
         return tuple(f"n{i}" for i in range(self.initial_size))
 
-    def projected_member_sets(self) -> list[tuple[str, ...]]:
-        """Membership after each churn op, starting from genesis."""
-        members = list(self.initial_members())
-        out = [tuple(members)]
-        for op in self.churn:
-            if op.op == "join":
-                members.append(op.node)
-            else:
-                members.remove(op.node)
-            out.append(tuple(members))
-        return out
-
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:
-        """Field ranges, then the rules that relate fields to each other."""
+        """Field ranges, then the rules that relate fields to each other: one
+        walk along the churn checks each op and the configuration it leads to,
+        numbered from genesis = #0, then the corruption entries."""
         _check_ranges(self)
         if self.registration_fee < self.registration_cost:
             raise ScenarioValidationError(
@@ -137,23 +130,30 @@ class ScenarioConfig:
                 raise ScenarioValidationError(section, str(exc)) from None
 
         members = set(self.initial_members())
+        # timed corruption entries per node, and how many the members carry
+        per_node = Counter(entry.node for entry in self.corruption if entry.at_time is not None)
+        timed = sum(count for node, count in per_node.items() if node in members)
+        self._check_configuration(0, members, timed)
         for i, op in enumerate(self.churn):
             label = f"churn[{i}]"
             if op.op == "join":
                 if op.node in members:
                     raise ScenarioValidationError(label, f"{op.node} is already a member")
                 members.add(op.node)
-                continue
-            if op.node not in members:
-                raise ScenarioValidationError(label, f"{op.node} is not a member at that point")
-            if len(members) == 1:
-                raise ScenarioValidationError(label, "would leave the cluster empty")
-            if op.op == "evict":
-                if op.node not in self.valid_poms:
-                    raise ScenarioValidationError(label, f"no valid misbehavior proof for {op.node}")
-                if op.by is not None and (op.by == op.node or op.by not in members):
-                    raise ScenarioValidationError(label, f"submitter {op.by} is not another member")
-            members.remove(op.node)
+                timed += per_node[op.node]
+            else:
+                if op.node not in members:
+                    raise ScenarioValidationError(label, f"{op.node} is not a member at that point")
+                if len(members) == 1:
+                    raise ScenarioValidationError(label, "would leave the cluster empty")
+                if op.op == "evict":
+                    if op.node not in self.valid_poms:
+                        raise ScenarioValidationError(label, f"no valid misbehavior proof for {op.node}")
+                    if op.by is not None and (op.by == op.node or op.by not in members):
+                        raise ScenarioValidationError(label, f"submitter {op.by} is not another member")
+                members.remove(op.node)
+                timed -= per_node[op.node]
+            self._check_configuration(i + 1, members, timed)
 
         declared = set(self.initial_members()) | {op.node for op in self.churn if op.op == "join"}
         for i, entry in enumerate(self.corruption):
@@ -163,18 +163,29 @@ class ScenarioConfig:
             if (entry.at_time is None) == (not entry.after_retirement):
                 raise ScenarioValidationError(label, "needs exactly one of at_time / after_retirement")
 
-        if not self.bypass_validation:
-            for member_set in self.projected_member_sets():
-                config = Configuration(0, member_set)
-                t = policy_threshold(self.policy, config, self.fixed_t)
-                bound = max_batch_threshold(config)
-                if t > bound:
-                    raise ScenarioValidationError(
-                        "policy",
-                        f"threshold {t} exceeds the batching bound {bound} at size {len(member_set)}",
-                    )
-
-        validate_schedule(self.corruption, self.projected_member_sets(), self.bypass_validation)
+    def _check_configuration(self, number: int, members: set[str], timed: int) -> None:
+        """The batching bound and the corruption budget of configuration
+        #`number`: at most f of its `members` may carry a corruption entry with
+        an absolute time (`timed` counts them), since a retirement-relative
+        entry fires only after the grace period."""
+        if self.bypass_validation:
+            return
+        n = len(members)
+        t, bound = policy_threshold(self.policy, n, self.fixed_t), max_batch_threshold(n)
+        if t > bound:
+            raise ScenarioValidationError(
+                "policy", f"threshold {t} exceeds the batching bound {bound} at size {n}"
+            )
+        f = max_faults(n)
+        if timed > f:
+            names = ", ".join(
+                e.describe() for e in self.corruption if e.at_time is not None and e.node in members
+            )
+            raise ScenarioValidationError(
+                "corruption",
+                f"configuration #{number} ({n} members) would have {timed} > f={f} "
+                f"corruptible members: {names}",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +268,25 @@ def _convert(hint, value, where: str):
     return value
 
 
+def check_range(path: str, value, checks) -> None:
+    """Check one field or CLI argument against the ranges in `checks` and
+    reject a non-finite float, naming `path`."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioValidationError(path, f"must be finite, got {value}")
+    for key, bound in checks.items():
+        if key in _CHECKS and value is not None:
+            holds, text = _CHECKS[key]
+            if not holds(value, bound):
+                raise ScenarioValidationError(path, f"{text.format(bound)}, got {value!r}")
+
+
 def _check_ranges(record, where: str = "") -> None:
     """Check each field of `record`, and of the records nested in it, against
     the range its declaration states."""
     for f in fields(record):
         value = getattr(record, f.name)
         path = _join(where, *f.metadata.get("path", (f.name,)))
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioValidationError(path, f"must be finite, got {value}")
-        for key, bound in f.metadata.items():
-            if key in _CHECKS and value is not None:
-                holds, text = _CHECKS[key]
-                if not holds(value, bound):
-                    raise ScenarioValidationError(path, f"{text.format(bound)}, got {value!r}")
+        check_range(path, value, f.metadata)
         if is_dataclass(value):
             _check_ranges(value, path)
         elif isinstance(value, list):
@@ -279,22 +296,20 @@ def _check_ranges(record, where: str = "") -> None:
 
 
 def scenario_from_dict(data) -> ScenarioConfig:
-    """Parse a scenario's JSON object: key names, types and ranges.  The
+    """Parse a scenario's JSON object: key names and types.  Ranges and the
     cross-field rules are left to `ScenarioConfig.validate`."""
-    sc = _parse(ScenarioConfig, data)
-    _check_ranges(sc)
-    return sc
+    return _parse(ScenarioConfig, data)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
+    """Read and parse a scenario file (field `file` if it is unreadable or not
+    JSON); ranges and cross-field rules are left to `ScenarioConfig.validate`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except (OSError, ValueError) as exc:   # ValueError: bad JSON or encoding
         raise ScenarioValidationError("file", str(exc)) from None
-    sc = scenario_from_dict(data)
-    sc.validate()
-    return sc
+    return scenario_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +331,6 @@ def growth_scenario(
     if gas is not None:
         sc.gas = gas
     sc.churn = [ChurnOp("join", f"m{i}") for i in range(to_size - from_size)]
-    sc.validate()
     return sc
 
 
@@ -330,12 +344,11 @@ def long_range_scenario(
     retired nodes and a stale client reconnecting."""
     if initial_size < 4:
         raise ScenarioValidationError("initial_size", "turnover needs at least 4 nodes")
-    genesis = Configuration(0, tuple(f"n{i}" for i in range(initial_size)))
-    if leaves_per_publish > max_correct_leavers(genesis):
+    if leaves_per_publish > max_correct_leavers(initial_size):
         raise ScenarioValidationError(
             "leaves_per_publish",
             f"{leaves_per_publish} correct departures per publication exceeds "
-            f"the bound {max_correct_leavers(genesis)}: the turnover would be unpublishable",
+            f"the bound {max_correct_leavers(initial_size)}: the turnover would be unpublishable",
         )
     sc = ScenarioConfig(name=f"long-range-{mode}", seed=seed)
     sc.initial_size = initial_size
@@ -351,5 +364,4 @@ def long_range_scenario(
         for i in range(initial_size)
     ]
     sc.client = ClientSettings(mode=mode)
-    sc.validate()
     return sc

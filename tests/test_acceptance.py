@@ -21,7 +21,7 @@ from bmsim.harness import (
     write_result_csvs,
 )
 from bmsim.ledger import PriceModel, usd_cost
-from bmsim.membership import Configuration, Policy, max_batch_threshold
+from bmsim.membership import Policy, max_batch_threshold
 from bmsim.scenario import growth_scenario, scenario_from_dict
 from bmsim.simulation import run_scenario
 
@@ -236,14 +236,12 @@ def test_acceptance_9_contract_oracle_equivalence():
 
 def test_acceptance_10_batching_oracle():
     for n in range(4, 17):
-        config = Configuration(0, tuple(f"n{i}" for i in range(n)))
-        assert max_batch_threshold(config) == brute_force_batch_threshold(n), n
+        assert max_batch_threshold(n) == brute_force_batch_threshold(n), n
     for n in range(17, 101):
-        config = Configuration(0, tuple(f"n{i}" for i in range(n)))
         f = (n - 1) // 3
-        assert max_batch_threshold(config) == (3 * f) // 2 + 1 + ((n - 1) % 3), n
+        assert max_batch_threshold(n) == (3 * f) // 2 + 1 + ((n - 1) % 3), n
         if n == 3 * f + 1:
-            assert max_batch_threshold(config) == -(-n // 2)
+            assert max_batch_threshold(n) == -(-n // 2)
     report(10, "batching threshold matches the brute-force oracle (4-16) and the "
                "closed form up to 100, with ceil(n/2) at optimal sizes")
 

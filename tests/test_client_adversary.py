@@ -2,10 +2,10 @@
 
 import pytest
 
-from bmsim.adversary import CorruptionEntry, validate_schedule
+from bmsim.adversary import CorruptionEntry
 from bmsim.errors import ScenarioValidationError
 from bmsim.node import Behavior
-from bmsim.scenario import long_range_scenario
+from bmsim.scenario import ChurnOp, ScenarioConfig, long_range_scenario
 from bmsim.simulation import run_scenario
 
 
@@ -18,38 +18,54 @@ def entry(node, at_time=None, retired=False):
     )
 
 
+def scheduled(entries, churn=(), bypass=False):
+    """A four-node scenario with the given corruption schedule and churn."""
+    return ScenarioConfig(
+        initial_size=4, churn=list(churn), corruption=entries, bypass_validation=bypass
+    )
+
+
 # -- schedule validation ---------------------------------------------------------
 
 
 def test_two_of_four_current_members_rejected():
-    configs = [("n0", "n1", "n2", "n3")]
+    sc = scheduled([entry("n0", at_time=5.0), entry("n1", at_time=5.0)])
     with pytest.raises(ScenarioValidationError) as err:
-        validate_schedule([entry("n0", at_time=5.0), entry("n1", at_time=5.0)], configs)
+        sc.validate()
     assert "f=1" in str(err.value)
 
 
 def test_one_of_four_accepted():
-    configs = [("n0", "n1", "n2", "n3")]
-    validate_schedule([entry("n0", at_time=5.0)], configs)
+    scheduled([entry("n0", at_time=5.0)]).validate()
 
 
 def test_full_old_config_after_retirement_accepted():
-    configs = [
-        ("n0", "n1", "n2", "n3"),
-        ("n1", "n2", "n3", "m0"),
-        ("n2", "n3", "m0", "m1"),
-        ("n3", "m0", "m1", "m2"),
-        ("m0", "m1", "m2", "m3"),
-    ]
+    # each original member is replaced in turn, then all of them are corrupted
+    churn = []
+    for i in range(4):
+        churn += [ChurnOp("join", f"m{i}"), ChurnOp("leave", f"n{i}")]
     entries = [entry(f"n{i}", retired=True) for i in range(4)]
-    validate_schedule(entries, configs)
+    scheduled(entries, churn).validate()
 
 
 def test_bypass_disables_validation():
-    configs = [("n0", "n1", "n2", "n3")]
-    validate_schedule(
-        [entry("n0", at_time=1.0), entry("n1", at_time=1.0)], configs, bypass=True
+    scheduled([entry("n0", at_time=1.0), entry("n1", at_time=1.0)], bypass=True).validate()
+
+
+def test_budget_counts_timed_joiners_and_leavers_per_configuration():
+    # n0 leaves and m1 joins, both timed-corrupted: only configuration #2,
+    # after m1 joined and before n0 left, holds both of them among 6 members
+    entries = [entry("n0", at_time=5.0), entry("m1", at_time=5.0)]
+    churn = [ChurnOp("join", "m0"), ChurnOp("join", "m1"), ChurnOp("leave", "n0"), ChurnOp("join", "m2")]
+    with pytest.raises(ScenarioValidationError) as err:
+        scheduled(entries, churn).validate()
+    assert err.value.field == "corruption"
+    assert str(err.value) == (
+        "corruption: configuration #2 (6 members) would have 2 > f=1 "
+        "corruptible members: n0@t=5.0, m1@t=5.0"
     )
+    # n0 leaves before m1 joins: no configuration holds both
+    scheduled(entries, [churn[0], churn[2], churn[1], churn[3]]).validate()
 
 
 # -- long-range scenario generation -------------------------------------------------

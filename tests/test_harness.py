@@ -4,12 +4,15 @@ import copy
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bmsim.scenario
+from bmsim.cli import main
 from bmsim.errors import InvalidInputError, InvariantViolation, ScenarioValidationError
 from bmsim.harness import (
     COST_ANCHORS,
@@ -18,13 +21,15 @@ from bmsim.harness import (
     calibrate_gas,
     growth_update_events,
     resolve_out_dir,
+    run_file,
+    sweep,
     write_result_csvs,
 )
 from bmsim.ledger import GasSchedule, PriceModel, usd_cost
 from bmsim.membership import Policy
 from bmsim.metrics import CONFIGS_HEADER, JOINS_HEADER, UPDATES_HEADER, VOTES_HEADER
-from bmsim.scenario import growth_scenario, load_scenario, scenario_from_dict
-from bmsim.simulation import run_scenario
+from bmsim.scenario import ScenarioConfig, growth_scenario, load_scenario, scenario_from_dict
+from bmsim.simulation import RunResult, SimulationRun, run_scenario
 
 
 def small_scenario_dict(**overrides):
@@ -212,6 +217,38 @@ def test_fuzzed_scenario_is_rejected_or_runs(path, value):
         assert str(exc).startswith("event budget exhausted")
         return
     assert result.end_time <= scenario.max_sim_time
+
+
+def test_validation_is_linear_in_churn_length():
+    # the walk keeps counts along the churn and builds no member tuple per op
+    start = time.perf_counter()
+    growth_scenario(Policy.HALF_F, 4, 10_005).validate()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_each_run_validates_its_scenario_once(tmp_path, monkeypatch):
+    """Files, growth sweeps and attack batches are validated in
+    `SimulationRun.__init__` and nowhere else; a file is range-checked once."""
+    counts = {"runs": 0, "validations": 0, "range_checks": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            if key != "range_checks" or isinstance(args[0], ScenarioConfig):
+                counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SimulationRun, "__init__", counted("runs", SimulationRun.__init__))
+    monkeypatch.setattr(ScenarioConfig, "validate", counted("validations", ScenarioConfig.validate))
+    monkeypatch.setattr(bmsim.scenario, "_check_ranges", counted("range_checks", bmsim.scenario._check_ranges))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(small_scenario_dict()))
+    run_file(str(path), out=str(tmp_path / "o"))
+    assert counts == {"runs": 1, "validations": 1, "range_checks": 1}
+    sweep(Policy.EVERY, 4, 6, write=False)
+    assert counts["runs"] == counts["validations"] == 2
+    attack_demo("with_bms", seeds=[1, 2], write=False)
+    assert counts["runs"] == counts["validations"] == 4
 
 
 # -- CSV output -------------------------------------------------------------------
@@ -445,3 +482,39 @@ def test_cli_calibrate_gas_rejects_bad_anchors(tmp_path, anchors):
 def test_attack_demo_api_seeds():
     report = attack_demo("no_bms", seeds=[5, 6], write=False)
     assert report.runs_with_forgery == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--policy", "t1", "--from", "100", "--to", "4"], "--to"),
+        (["sweep", "--policy", "t1", "--from", "4", "--to", "4"], "--to"),
+        (["attack-demo", "--mode", "bms", "--seeds", "0"], "--seeds"),
+        (["attack-demo", "--mode", "bms", "--seeds", "-3"], "--seeds"),
+    ],
+    ids=["to_below_from", "to_equals_from", "zero_seeds", "negative_seeds"],
+)
+def test_cli_rejects_bad_arguments_by_flag(argv, flag, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{flag}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--policy", "t1", "--to", "6"], ["attack-demo", "--mode", "bms", "--seeds", "2"]],
+    ids=["sweep", "attack-demo"],
+)
+def test_cli_capped_batch_exits_2(argv, tmp_path, capsys, monkeypatch):
+    def capped(scenario):
+        return RunResult(scenario.name, scenario.seed, scenario.max_sim_time, False, [], [], [], [], [],
+                         scenario.price)
+
+    monkeypatch.setattr("bmsim.harness.run_scenario", capped)
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "hit the simulation cap" in err and len(err.splitlines()) == 1
+    assert not out.exists()

@@ -91,9 +91,9 @@ def brute_force_batch_threshold(n: int) -> int:
 
 
 def test_max_faults_examples():
-    assert max_faults(cfg(4)) == 1
-    assert max_faults(cfg(1)) == 0
-    assert max_faults(cfg(13)) == 4
+    assert max_faults(4) == 1
+    assert max_faults(1) == 0
+    assert max_faults(13) == 4
 
 
 def test_max_faults_rejects_empty():
@@ -110,8 +110,8 @@ def test_vote_threshold_examples():
 @given(st.integers(min_value=1, max_value=300))
 def test_fault_bound_properties(n):
     c = cfg(n)
-    assert vote_threshold(c) > max_faults(c)
-    assert 3 * max_faults(c) < n
+    assert vote_threshold(c) > max_faults(n)
+    assert 3 * max_faults(n) < n
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +136,20 @@ def test_overlap_examples():
 
 
 def test_max_batch_threshold_examples():
-    assert max_batch_threshold(cfg(4)) == 2
-    assert max_batch_threshold(cfg(13)) == 7
-    assert max_batch_threshold(cfg(6)) == 4
+    assert max_batch_threshold(4) == 2
+    assert max_batch_threshold(13) == 7
+    assert max_batch_threshold(6) == 4
 
 
 def test_max_batch_threshold_optimal_sizes_half():
     for f in range(1, 34):
         n = 3 * f + 1
-        assert max_batch_threshold(cfg(n)) == math.ceil(n / 2)
+        assert max_batch_threshold(n) == math.ceil(n / 2)
 
 
 def test_max_batch_threshold_matches_brute_force_oracle():
     for n in range(1, 17):
-        assert max_batch_threshold(cfg(n)) == brute_force_batch_threshold(n), n
+        assert max_batch_threshold(n) == brute_force_batch_threshold(n), n
 
 
 def test_reachable_configs_below_threshold_stay_publishable():
@@ -157,8 +157,8 @@ def test_reachable_configs_below_threshold_stay_publishable():
     # departures within bound, keeps a publishable overlap.
     for n in range(4, 17):
         c_pub = cfg(n)
-        t = max_batch_threshold(c_pub)
-        leavers_cap = max_correct_leavers(c_pub)
+        t = max_batch_threshold(n)
+        leavers_cap = max_correct_leavers(n)
         for diff in range(1, t):
             for n_leaves in range(0, min(diff, leavers_cap) + 1):
                 n_joins = diff - n_leaves
@@ -174,9 +174,9 @@ def test_reachable_configs_below_threshold_stay_publishable():
 
 
 def test_max_correct_leavers_examples():
-    assert max_correct_leavers(cfg(4)) == 1
-    assert max_correct_leavers(cfg(1)) == 0
-    assert max_correct_leavers(cfg(10)) == 3
+    assert max_correct_leavers(4) == 1
+    assert max_correct_leavers(1) == 0
+    assert max_correct_leavers(10) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +212,21 @@ def test_symmetric_difference_is_a_metric(a, b, c):
 
 
 def test_policy_threshold_examples():
-    assert policy_threshold(Policy.EVERY, cfg(4)) == 1
-    assert policy_threshold(Policy.EVERY, cfg(97)) == 1
-    assert policy_threshold(Policy.HALF_F, cfg(12)) == 1
-    assert policy_threshold(Policy.HALF_F, cfg(13)) == 2
+    assert policy_threshold(Policy.EVERY, 4) == 1
+    assert policy_threshold(Policy.EVERY, 97) == 1
+    assert policy_threshold(Policy.HALF_F, 12) == 1
+    assert policy_threshold(Policy.HALF_F, 13) == 2
 
 
 def test_policy_threshold_floors_at_one():
     for n in range(1, 13):
-        assert policy_threshold(Policy.HALF_F, cfg(n)) == 1
+        assert policy_threshold(Policy.HALF_F, n) == 1
 
 
 def test_fixed_policy_requires_value():
-    assert policy_threshold(Policy.FIXED, cfg(4), fixed_t=3) == 3
+    assert policy_threshold(Policy.FIXED, 4, fixed_t=3) == 3
     with pytest.raises(InvalidInputError):
-        policy_threshold(Policy.FIXED, cfg(4))
+        policy_threshold(Policy.FIXED, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_configuration_rejects_duplicates():
 
 def test_configuration_auto_vote_threshold():
     c = cfg(7)
-    assert c.v == max_faults(c) + 1
+    assert c.v == max_faults(c.size) + 1
 
 
 def test_with_and_without_member():

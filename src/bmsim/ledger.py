@@ -124,6 +124,8 @@ class Ledger:
         self.confirmation_depth = confirmation_depth
 
         self.blocks: list[Block] = [Block(height=0, produced_at=0.0)]
+        # max(0, head height - confirmation depth), set as each block is added
+        self.confirmed_height = 0
         self.records: dict[int, TxRecord] = {}
         self._pending: list[int] = []
         self.pending_votes = 0     # vote transactions submitted, not yet executed
@@ -136,6 +138,7 @@ class Ledger:
         self._change_heights: set[int] = set()
         self._observers: list[Callable[[], None]] = []
         self._publication_hooks: list[Callable[[Configuration, float], None]] = []
+        self._drain_hooks: list[Callable[[], None]] = []
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -167,6 +170,7 @@ class Ledger:
         height = len(self.blocks)
         block = Block(height=height, produced_at=self.sim.now)
         stored_before = len(self.config_log)
+        votes_before = self.pending_votes
         still_pending = []
         for tx_id in self._pending:
             record = self.records[tx_id]
@@ -176,6 +180,7 @@ class Ledger:
                 still_pending.append(tx_id)
         self._pending = still_pending
         self.blocks.append(block)
+        self.confirmed_height = max(0, height - self.confirmation_depth)
         self.contract.check_conservation()
         if len(self.config_log) > stored_before:
             for hook in self._publication_hooks:
@@ -183,6 +188,9 @@ class Ledger:
         if height - self.confirmation_depth in self._change_heights:
             for callback in self._observers:
                 callback()
+        if votes_before and not self.pending_votes:
+            for hook in self._drain_hooks:
+                hook()
         self._schedule_next_block()
 
     def _execute(self, record: TxRecord, block: Block) -> None:
@@ -233,10 +241,6 @@ class Ledger:
         idx = bisect.bisect_right(self._config_heights, height) - 1
         return self.config_log[max(idx, 0)][1]
 
-    @property
-    def confirmed_height(self) -> int:
-        return max(0, self.head.height - self.confirmation_depth)
-
     def confirmed_config(self) -> Configuration:
         """The stored configuration as of the confirmed height; genesis is
         public knowledge and confirmed from the start."""
@@ -256,6 +260,10 @@ class Ledger:
     def add_publication_hook(self, hook: Callable[[Configuration, float], None]) -> None:
         """Call `hook(config, at)` at each block that stores a new configuration."""
         self._publication_hooks.append(hook)
+
+    def add_drain_hook(self, hook: Callable[[], None]) -> None:
+        """Call `hook()` at each block that executes the last pending vote."""
+        self._drain_hooks.append(hook)
 
     # -- reporting ----------------------------------------------------------------------
 

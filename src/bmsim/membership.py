@@ -5,20 +5,49 @@ are never empty: `Configuration` rejects an empty member list rather than
 mapping it to zero so that scenario bugs surface early.  A bound that
 depends only on the member count takes the count, so scenario validation
 can check every configuration of a churn without building one.
+
+Configurations are interned.  While one is alive, building another with an
+equal key (number and member tuple) returns the same object, so every
+correct replica walking the same chain holds the same objects, and the
+member set and the successors of each are computed once.  Only
+configurations with the default `v` are interned: an explicit `v` builds a
+new object every time.  The table holds its objects weakly: it keeps no
+configuration alive by itself, so it holds only what some run still
+references (with the successors those built) and does not grow across runs.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from bmsim.errors import InvalidInputError
 
 NodeId = str
 
+# (number, members) -> the live default-`v` configuration with that key
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Metaclass of `Configuration`: looks a default-`v` configuration up by
+    key before building it."""
+
+    def __call__(cls, number, members, v=-1):
+        members = tuple(members)
+        if v >= 0:
+            return super().__call__(number, members, v)
+        key = (number, members)
+        config = _interned.get(key)
+        if config is None:
+            config = _interned[key] = super().__call__(number, members)
+        return config
+
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(metaclass=_Interned):
     """A numbered membership of the cluster.
 
     `members` is an ordered, duplicate-free tuple of node ids; `number`
@@ -30,6 +59,8 @@ class Configuration:
     number: int
     members: tuple[NodeId, ...]
     v: int = field(default=-1)
+    # (node, joining) -> the successor `with_member`/`without_member` built
+    _successors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.members)) != len(self.members):
@@ -47,11 +78,26 @@ class Configuration:
         """Identity used when counting votes: number plus exact member list."""
         return (self.number, self.members)
 
+    @cached_property
+    def member_set(self) -> frozenset[NodeId]:
+        """The members as a set, built on first use."""
+        return frozenset(self.members)
+
     def with_member(self, node: NodeId) -> "Configuration":
-        return Configuration(self.number + 1, self.members + (node,))
+        return self._successor(node, True)
 
     def without_member(self, node: NodeId) -> "Configuration":
-        return Configuration(self.number + 1, tuple(m for m in self.members if m != node))
+        return self._successor(node, False)
+
+    def _successor(self, node: NodeId, joining: bool) -> "Configuration":
+        successor = self._successors.get((node, joining))
+        if successor is None:
+            if joining:
+                members = self.members + (node,)
+            else:
+                members = tuple(m for m in self.members if m != node)
+            successor = self._successors[node, joining] = Configuration(self.number + 1, members)
+        return successor
 
 
 def max_faults(n: int) -> int:
@@ -67,7 +113,9 @@ def vote_threshold(c: Configuration) -> int:
 def overlap_ok(c_pub: Configuration, c_local: Configuration) -> bool:
     """True when the two configurations share enough members to keep the
     registry updatable: the overlap must exceed both fault budgets combined."""
-    overlap = len(set(c_pub.members) & set(c_local.members))
+    if c_pub is c_local:
+        return True   # n members overlap in n >= 2 * max_faults(n) + 1
+    overlap = len(c_pub.member_set & c_local.member_set)
     return overlap >= max_faults(c_pub.size) + max_faults(c_local.size) + 1
 
 
@@ -88,7 +136,9 @@ def max_correct_leavers(n: int) -> int:
 
 def symmetric_difference(c_i: Configuration, c_j: Configuration) -> int:
     """Count of members present in exactly one of the two configurations."""
-    return len(set(c_i.members) ^ set(c_j.members))
+    if c_i is c_j:
+        return 0
+    return len(c_i.member_set ^ c_j.member_set)
 
 
 class Policy(enum.Enum):

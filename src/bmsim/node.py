@@ -59,9 +59,10 @@ class TotalOrderBroadcast:
         self.log: list[tuple] = []
         self._keys: set = set()
         self.delivered = 0         # the log position: entries delivered so far
-        # stored configuration -> the members that reported seeing it, in the
-        # order of first reports (a configuration's rank)
-        self.observed: dict[Configuration, set[NodeId]] = {}
+        # (stored configuration, the members that reported seeing it) in the
+        # order of first reports: an entry's index is its configuration's rank
+        self.observed: list[tuple[Configuration, set[NodeId]]] = []
+        self._ranks: dict[Configuration, int] = {}
         self.observations = 0      # `tob_observed` entries applied
         # node_id -> (callback, first index it participates from)
         self._subscribers: dict[NodeId, tuple[Callable[[int, tuple], None], int]] = {}
@@ -95,7 +96,11 @@ class TotalOrderBroadcast:
         self.delivered = index + 1
         if payload[0] == "tob_observed":
             _, config, observer = payload
-            self.observed.setdefault(config, set()).add(observer)
+            rank = self._ranks.get(config)
+            if rank is None:
+                rank = self._ranks[config] = len(self.observed)
+                self.observed.append((config, set()))
+            self.observed[rank][1].add(observer)
             self.observations += 1
             return
         for node_id in list(self._subscribers):
@@ -103,7 +108,7 @@ class TotalOrderBroadcast:
             if callback is not None and index >= start:
                 callback(index, payload)
 
-    def observed_at(self, position: int) -> dict[Configuration, set[NodeId]]:
+    def observed_at(self, position: int) -> list[tuple[Configuration, set[NodeId]]]:
         """The observation table as it stood after `position` deliveries."""
         if position == self.delivered:
             return self.observed
@@ -111,7 +116,7 @@ class TotalOrderBroadcast:
         for payload in self.log[:position]:
             if payload[0] == "tob_observed":
                 table.setdefault(payload[1], set()).add(payload[2])
-        return table
+        return list(table.items())
 
     def subscribe(self, node_id: NodeId, callback: Callable[[int, tuple], None], start: int = 0) -> None:
         self._subscribers[node_id] = (callback, start)
@@ -231,9 +236,9 @@ class BftNode:
         """
         self.app_state = app_state
         self.c_cur = config
-        self.c_last_voted = Configuration(last_voted[0], tuple(last_voted[1]))
+        self.c_last_voted = Configuration(*last_voted)
         if agreed_rank is not None:
-            self._agreed = list(self.tob.observed)[agreed_rank]
+            self._agreed = self.tob.observed[agreed_rank][0]
             self._agreed_rank = agreed_rank
         self._agreed_at = None
         self.vote_check_due = True
@@ -247,7 +252,8 @@ class BftNode:
         return policy_threshold(self.params.policy, (config or self.c_cur).size, self.params.fixed_t)
 
     def _is_byz(self, behavior: Behavior) -> bool:
-        return behavior in self.behaviors
+        # a correct replica's empty set answers without hashing the enum
+        return bool(self.behaviors) and behavior in self.behaviors
 
     def _log_position(self) -> int:
         """Entries of the ordered log this replica has applied."""
@@ -271,14 +277,22 @@ class BftNode:
         stands while no newer configuration has enough reports: it is genesis
         (public knowledge) or a configuration agreed on before, here or by the
         members whose final responses admitted this replica.
+
+        The scan starts after the last answer's rank, and that is exact.  A
+        configuration's rank is the order of its first report, members report
+        a stored configuration when the ledger confirms it, and the numbers
+        the ledger stores only increase; so every entry at or below that rank
+        has a number at or below the last answer's and could not replace it.
         """
         cached = self._latest_cache
         if cached is not None:
             return cached
         threshold = max_faults(self.c_cur.size) + 1
-        members = set(self.c_cur.members)
+        members = self.c_cur.member_set
         best, rank = self._agreed, self._agreed_rank
-        for index, (config, observers) in enumerate(self.tob.observed_at(self._log_position()).items()):
+        table = self.tob.observed_at(self._log_position())
+        for index in range(0 if rank is None else rank + 1, len(table)):
+            config, observers = table[index]
             if config.number <= best.number:
                 continue
             count = len(observers & members)
@@ -293,7 +307,8 @@ class BftNode:
     # -- messaging ------------------------------------------------------------------
 
     def handle_envelope(self, env: Envelope) -> None:
-        if self._is_byz(Behavior.SILENT) or self._is_byz(Behavior.DROP_MESSAGES):
+        behaviors = self.behaviors
+        if behaviors and (Behavior.SILENT in behaviors or Behavior.DROP_MESSAGES in behaviors):
             return
         kind = env.payload[0]
         if kind == "register_announce":
@@ -347,7 +362,7 @@ class BftNode:
         if self._is_byz(Behavior.DROP_MESSAGES):
             return
         kind, node, attempt, evidence = payload
-        members = self.c_cur.members
+        members = self.c_cur.member_set
         if kind == "tob_join":
             if node in members:
                 # a re-sent request from an already-admitted joiner whose
@@ -355,7 +370,7 @@ class BftNode:
                 if self.active:
                     self._send_final_response(node)
                 return
-            valid = len(evidence.intersection(members)) > max_faults(self.c_cur.size)
+            valid = len(evidence & members) > max_faults(self.c_cur.size)
         elif kind == "tob_leave":
             valid = evidence and node in members
         else:
@@ -413,8 +428,8 @@ class BftNode:
 
     def _still_applicable(self, req: ReconfigRequest) -> bool:
         if req.kind == "join":
-            return req.node not in self.c_cur.members
-        return req.node in self.c_cur.members
+            return req.node not in self.c_cur.member_set
+        return req.node in self.c_cur.member_set
 
     def _apply_request(self, req: ReconfigRequest) -> None:
         self._agreed_at = None
@@ -454,9 +469,9 @@ class BftNode:
             self.c_last_voted = self.c_cur
             return
         self.c_last_voted = self.c_cur
-        if self.id not in published.members:
+        if self.id not in published.member_set:
             return
-        if self.id not in self.c_cur.members and not self.params.leavers_vote:
+        if self.id not in self.c_cur.member_set and not self.params.leavers_vote:
             return  # departing or departed, and departed nodes do not vote here
         if not self.active and not (self.retired and self.params.leavers_vote):
             return
@@ -591,11 +606,10 @@ class JoinerAgent:
         key = (app_state, number, members, log_pos, last_voted, rank)
         bucket = self.responses.setdefault(key, {})
         bucket[responder] = None
-        config = Configuration(number, tuple(members))
-        needed = max_faults(config.size) + 1
-        if len(bucket) >= needed:
+        if len(bucket) > max_faults(len(members)):
             self.admitted = True
-            self.node.adopt(app_state, config, log_pos, last_voted, rank)
+            # the responders' own object, from the interning table
+            self.node.adopt(app_state, Configuration(number, members), log_pos, last_voted, rank)
             self.sim.register_handler(self.node.id, self.node.handle_envelope)
             self.node.monitor.join_admitted(self.node.id, self.sim.now)
             if self.on_admitted is not None:

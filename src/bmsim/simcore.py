@@ -37,7 +37,7 @@ class NetworkConfig:
             raise InvalidInputError("drop probability must be within [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
     sender: str
     receiver: str
@@ -67,9 +67,6 @@ class AuthRegistry:
         if node_id not in self._secrets:
             material = f"{self._seed}:{node_id}".encode()
             self._secrets[node_id] = hashlib.sha256(material).digest()
-
-    def known(self, node_id: str) -> bool:
-        return node_id in self._secrets
 
     def sign(self, node_id: str, payload) -> str:
         secret = self._secrets.get(node_id)
@@ -115,6 +112,7 @@ class SimulationCore:
         self._heap: list[tuple[SimTime, int, str, Callable[[], None]]] = []
         self._seq = 0
         self._handlers: dict[str, Callable[[Envelope], None]] = {}
+        self._deliver_labels: dict[str, str] = {}   # message kind -> event label
         self._ring: deque[tuple[SimTime, str]] = deque(maxlen=TRACE_LEN)
 
     # -- scheduling ---------------------------------------------------------
@@ -129,13 +127,14 @@ class SimulationCore:
         self.schedule(self.now + delay, fn, label)
 
     def run(self, until: SimTime | None = None) -> None:
-        heap, record = self._heap, self._ring.append
+        heap, pop, record = self._heap, heapq.heappop, self._ring.append
         last = self._seq + RUN_EVENT_BUDGET
+        limit = math.inf if until is None else until
         while heap:
-            if until is not None and heap[0][0] > until:
+            if heap[0][0] > limit:
                 self.now = until
                 return
-            at, seq, label, fn = heapq.heappop(heap)
+            at, seq, label, fn = pop(heap)
             if seq > last:
                 raise InvariantViolation(
                     f"event budget exhausted: over {RUN_EVENT_BUDGET:,} events "
@@ -162,19 +161,24 @@ class SimulationCore:
 
     def send(self, sender: str, receiver: str, payload: tuple) -> None:
         """Queue a message for delivery under the synchrony model."""
-        if not self.auth.known(sender):
+        if sender not in self.auth._secrets:
             raise InvalidInputError(f"unknown sender {sender!r}")
-        env = Envelope(sender, receiver, payload)
-        net = self.network
-        if self.now >= net.gst:
-            deliver_at = self.now + self.rng.uniform(0.0, net.delta)
+        now, net = self.now, self.network
+        if now >= net.gst:
+            # `uniform(0.0, delta)` computes 0.0 + delta * random(): the same float
+            deliver_at = now + net.delta * self.rng.random()
         else:
             if self.rng.random() < net.pre_gst_drop_probability:
                 return
-            adversarial = self.now + self.rng.uniform(0.0, net.pre_gst_max_delay)
+            adversarial = now + self.rng.uniform(0.0, net.pre_gst_max_delay)
             bound = net.gst + self.rng.uniform(0.0, net.delta)
             deliver_at = min(adversarial, bound)
-        self.schedule(deliver_at, lambda: self._deliver(env), label=f"deliver:{payload[0]}")
+        kind = payload[0]
+        label = self._deliver_labels.get(kind)
+        if label is None:
+            label = self._deliver_labels[kind] = f"deliver:{kind}"
+        env = Envelope(sender, receiver, payload)
+        self.schedule(deliver_at, functools.partial(self._deliver, env), label)
 
     def _deliver(self, env: Envelope) -> None:
         handler = self._handlers.get(env.receiver)

@@ -56,11 +56,13 @@ class ChurnDriver:
     executed, confirmed and observed by every correct replica).
 
     The driver checks an op on a 5 s grid from the op's start.  A check that
-    fails because the joiner is not admitted yet, or because the ledger has
-    not confirmed the stored configuration yet, would keep failing without
-    side effects until that admission (`JoinerAgent` calls `wake`) or the
-    ledger's next confirmation (a ledger observer), so the driver parks
-    there.  Any other failed check re-arms 5 s later.
+    fails because the joiner is not admitted yet, because a vote is still
+    pending, or because the ledger has not confirmed the stored configuration
+    yet, would keep failing without side effects until that admission
+    (`JoinerAgent` calls `wake`), the block that executes the last pending
+    vote (a ledger drain hook) or the ledger's next confirmation (a ledger
+    observer), so the driver parks there.  Any other failed check re-arms 5 s
+    later.
 
     `wake` schedules the check at the first grid point after the parked one
     that is at or after now, so each op starts at the same grid time as with
@@ -86,6 +88,7 @@ class ChurnDriver:
         # the grid time of the failed check the driver is parked at
         self._parked_at: float | None = None
         run.ledger.add_observer(self.wake)
+        run.ledger.add_drain_hook(self.wake)
 
     def start(self) -> None:
         self._next_op()
@@ -139,11 +142,12 @@ class ChurnDriver:
         return run.quiescent()
 
     def _awaits_event(self) -> bool:
-        """Whether the op cannot settle before an admission or a confirmation."""
+        """Whether the op cannot settle before an admission, the execution of
+        the last pending vote or a confirmation."""
         agent = self._current_agent
         if agent is not None and not agent.admitted:
             return True
-        return not self.run.publication_confirmed()
+        return self.run.ledger.pending_votes > 0 or not self.run.publication_confirmed()
 
     def wake(self) -> None:
         """Check again at the next grid point, if parked."""

@@ -1,15 +1,21 @@
 """The parked churn driver against a 5 s poller.
 
-`ChurnDriver` parks while an op waits for an admission or a confirmation and
-is woken onto its 5 s grid (see its docstring).  `PollingDriver` below is the
-driver without parking: it checks every 5 s from the op's start, with the
-quiescence check that walks every pending transaction and builds the list of
-correct replicas.  Both run the same generated small scenarios, which vary
-what could move an event onto the other side of a woken check: checkpoint
-intervals under and over the 5 s grid, short and long revote timeouts, zero
-and long TOB latency, every churn op, every corruption behaviour and pre-GST
-drops.  Every CSV (the block trace included), the end time and the
-completion flag must be equal, and the parked driver must check less often.
+`ChurnDriver` parks while an op waits for an admission, the execution of the
+last pending vote or a confirmation, and is woken onto its 5 s grid (see its
+docstring).  `PollingDriver` below is the driver without parking: it checks
+every 5 s from the op's start, with the quiescence check that walks every
+pending transaction and builds the list of correct replicas.  Both run the
+same generated small scenarios, which vary what could move an event onto the
+other side of a woken check: checkpoint intervals under and over the 5 s
+grid, short and long revote timeouts, zero and long TOB latency, every churn
+op, every corruption behaviour and pre-GST drops.  Every CSV (the block trace
+included), the end time and the completion flag must be equal, and the
+parked driver must check less often, always on its grid.
+
+The same scenarios, and the golden matrix, also check the shared
+configuration objects at every checkpoint tick: each replica's registry scan
+against a scan of the whole observation table, and the cached member-set
+arithmetic against plain sets.
 """
 
 import itertools
@@ -19,9 +25,10 @@ import pytest
 
 from bmsim.errors import ScenarioValidationError
 from bmsim.harness import write_result_csvs
-from bmsim.membership import symmetric_difference
-from bmsim.scenario import scenario_from_dict
+from bmsim.membership import max_faults, overlap_ok, symmetric_difference
+from bmsim.scenario import long_range_scenario, scenario_from_dict
 from bmsim.simulation import ChurnDriver, SimulationRun
+from test_golden_matrix import MATRIX
 
 BEHAVIORS = ("silent", "withhold_vote", "vote_bogus", "drop_messages", "stale_quorum")
 CHECKPOINT_INTERVALS = (1.0, 2.5, 5.0, 20.0)
@@ -138,23 +145,29 @@ def generated_scenarios(per_setting: int = 6) -> list[dict]:
 SCENARIOS = generated_scenarios()
 
 
-def run_with(data, driver_cls, out_dir):
-    run = SimulationRun(scenario_from_dict(data))
+def run_with(scenario, driver_cls, out_dir, drains=None):
+    """The run's result, its CSVs and, for each check of the driver, its
+    time, the count of votes then pending and whether the driver parked.
+    The times of blocks that execute the last pending vote go to `drains`."""
+    run = SimulationRun(scenario)
     if driver_cls is not None:
         run.driver = driver_cls(run)
     driver = run.driver
-    polls = [0]
+    polls = []
     poll = driver._poll
 
     def counted_poll():
-        polls[0] += 1
+        at, pending = run.sim.now, run.ledger.pending_votes
         poll()
+        polls.append((at, pending, driver._parked_at == at))
 
     # `_next_op` and `wake` schedule `self._poll`, found on the instance first
     driver._poll = counted_poll
+    if drains is not None:
+        run.ledger.add_drain_hook(lambda: drains.append(run.sim.now))
     result = run.run()
     paths = write_result_csvs(result, out_dir, block_trace=True)
-    return result, {name: path.read_bytes() for name, path in paths.items()}, polls[0]
+    return result, {name: path.read_bytes() for name, path in paths.items()}, polls
 
 
 def test_generated_scenarios_cover_the_settings():
@@ -169,15 +182,100 @@ def test_generated_scenarios_cover_the_settings():
 
 @pytest.mark.parametrize("data", SCENARIOS, ids=[d["name"] for d in SCENARIOS])
 def test_parked_driver_matches_polling_driver(data, tmp_path):
-    parked, parked_csvs, parked_polls = run_with(data, None, tmp_path / "parked")
-    polled, polled_csvs, polled_polls = run_with(data, PollingDriver, tmp_path / "polled")
+    parked, parked_csvs, parked_polls = run_with(
+        scenario_from_dict(data), None, tmp_path / "parked"
+    )
+    polled, polled_csvs, polled_polls = run_with(
+        scenario_from_dict(data), PollingDriver, tmp_path / "polled"
+    )
     assert (parked.completed, parked.end_time) == (polled.completed, polled.end_time)
     assert parked_csvs == polled_csvs
-    assert 0 < parked_polls < polled_polls
+    assert 0 < len(parked_polls) < len(polled_polls)
+    assert all(at % ChurnDriver.POLL == 0 for at, _, _ in parked_polls)
+
+
+@pytest.mark.parametrize("mode", ("with_bms", "no_bms"))
+def test_driver_sleeps_while_votes_pending(mode, tmp_path):
+    """The attack workload's turnover, where a 5 s poller finds a vote
+    pending at many of its checks.  The parked driver sleeps through them,
+    finding votes pending at most once per op, and checks again at the first
+    grid point after the block that executes the last pending vote."""
+    drains = []
+    parked, parked_csvs, parked_polls = run_with(
+        long_range_scenario(mode, seed=1), None, tmp_path / "parked", drains
+    )
+    polled, polled_csvs, polled_polls = run_with(
+        long_range_scenario(mode, seed=1), PollingDriver, tmp_path / "polled"
+    )
+    assert parked.completed and parked.end_time == polled.end_time
+    assert parked_csvs == polled_csvs
+    assert all(at % ChurnDriver.POLL == 0 for at, _, _ in parked_polls)
+    ops = len(long_range_scenario(mode).churn)
+    assert 0 < sum(1 for _, pending, _ in parked_polls if pending) <= ops
+    assert sum(1 for _, pending, _ in polled_polls if pending) > 5 * ops
+    woken = 0
+    for drained_at in drains:
+        before = [(pending, parked) for at, pending, parked in parked_polls if at < drained_at]
+        if before and before[-1][0] and before[-1][1]:   # parked on a pending vote
+            woken += 1
+            assert any(drained_at <= at < drained_at + ChurnDriver.POLL for at, _, _ in parked_polls)
+    assert woken > 0
 
 
 def test_some_generated_scenarios_complete(tmp_path):
     completed = sum(
-        run_with(data, None, tmp_path / data["name"])[0].completed for data in SCENARIOS[:8]
+        run_with(scenario_from_dict(data), None, tmp_path / data["name"])[0].completed
+        for data in SCENARIOS[:8]
     )
     assert completed >= 4
+
+
+def full_scan_latest(node):
+    """`BftNode.latest_registry_config` over the whole observation table:
+    its answer and that answer's rank, without moving the replica's cache."""
+    threshold = max_faults(node.c_cur.size) + 1
+    members = set(node.c_cur.members)
+    best, rank = node._agreed, node._agreed_rank
+    for index, (config, observers) in enumerate(node.tob.observed_at(node._log_position())):
+        if config.number <= best.number:
+            continue
+        count = len(observers & members)
+        if node.id in members and node.id not in observers and config.key() in node.locally_observed:
+            count += 1
+        if count >= threshold:
+            best, rank = config, index
+    return best, rank
+
+
+def check_shared_facts(run, answers):
+    for node in run.nodes.values():
+        if not node.active:
+            continue
+        expected = full_scan_latest(node)
+        latest = node.latest_registry_config()
+        assert (latest, node._agreed_rank) == expected, f"t={run.sim.now}: {node.id}"
+        answers.add(latest.number)
+        for a, b in ((latest, node.c_cur), (node.c_last_voted, node.c_cur), (node.published(), latest)):
+            sa, sb = set(a.members), set(b.members)
+            assert symmetric_difference(a, b) == len(sa ^ sb)
+            assert overlap_ok(a, b) == (len(sa & sb) >= max_faults(len(sa)) + max_faults(len(sb)) + 1)
+
+
+DIFFERENTIAL = [dict(data, name=name) for name, (data, _, _) in MATRIX.items()] + SCENARIOS
+
+
+@pytest.mark.parametrize("data", DIFFERENTIAL, ids=[d["name"] for d in DIFFERENTIAL])
+def test_registry_scan_matches_full_scan(data, monkeypatch):
+    """Asking every active replica at every tick moves their caches, so this
+    run's bytes are not compared with anything.  In every matrix scenario
+    some replica answers a configuration other than genesis."""
+    answers = set()
+    tick = SimulationRun._checkpoint_tick
+
+    def checked_tick(run):
+        check_shared_facts(run, answers)
+        tick(run)
+
+    monkeypatch.setattr(SimulationRun, "_checkpoint_tick", checked_tick)
+    SimulationRun(scenario_from_dict(data)).run()
+    assert max(answers) > 0 or data["name"] not in MATRIX

@@ -7,7 +7,7 @@ import pytest
 from bmsim import simcore
 from bmsim.contract import RegistryContract
 from bmsim.errors import InvariantViolation
-from bmsim.membership import Policy
+from bmsim.membership import Configuration, Policy
 from bmsim.node import BftNode
 from bmsim.scenario import growth_scenario, long_range_scenario, scenario_from_dict
 from bmsim.simcore import AuthRegistry
@@ -166,6 +166,25 @@ def test_checkpoints_visit_replicas_with_work_and_payloads_encode_once(monkeypat
     assert len(checkpoints) == 429 + 4 + 26 == 459
     # one `register_confirm` and one final response body per join
     assert len(encoded) == 2 * 26 == 52
+
+
+def test_correct_replicas_share_configuration_objects(monkeypatch):
+    # each configuration of the chain is built once, not once per replica
+    # and per final response, and every replica holds that one object
+    built = []
+    post_init = Configuration.__post_init__
+
+    def counted(config):
+        built.append(config.number)
+        post_init(config)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    run = SimulationRun(growth_scenario(Policy.EVERY, 4, 30, seed=1))
+    assert run.run().completed
+    assert len(built) <= 100
+    replicas = run.correct_active_nodes()
+    assert len(replicas) == 30
+    assert all(node.c_cur is replicas[0].c_cur for node in replicas)
 
 
 def test_contract_violation_reports_recent_events(monkeypatch):

@@ -250,3 +250,34 @@ def test_with_and_without_member():
     assert grown.number == 1 and grown.size == 5 and grown.v == 2
     shrunk = grown.without_member("n0")
     assert shrunk.number == 2 and "n0" not in shrunk.members
+
+
+def test_equal_keys_share_one_configuration():
+    c = cfg(5, number=3)
+    assert cfg(5, number=3) is c
+    assert Configuration(3, list(c.members)) is c
+    assert c.with_member("x") is c.with_member("x") is cfg_of(c.members + ("x",), 4)
+    assert c.without_member("n0") is cfg_of(c.members[1:], 4)
+    # an explicit threshold is not interned
+    explicit = Configuration(3, c.members, v=c.v)
+    assert explicit is not c and explicit == c
+
+
+def test_interning_keeps_nothing_alive():
+    import gc
+    import weakref
+
+    ref = weakref.ref(cfg(6, number=12345))
+    gc.collect()
+    assert ref() is None
+
+
+@given(st.sets(st.integers(0, 12)), st.sets(st.integers(0, 12)))
+def test_set_arithmetic_matches_members(a, b):
+    ca = Configuration(1, tuple(f"n{i}" for i in sorted(a)) or ("z",))
+    cb = Configuration(2, tuple(f"n{i}" for i in sorted(b)) or ("z",))
+    sa, sb = set(ca.members), set(cb.members)
+    assert symmetric_difference(ca, cb) == len(sa ^ sb)
+    assert symmetric_difference(ca, ca) == 0
+    assert overlap_ok(ca, cb) == (len(sa & sb) >= max_faults(len(sa)) + max_faults(len(sb)) + 1)
+    assert overlap_ok(cb, cb)

@@ -9,11 +9,11 @@ can check every configuration of a churn without building one.
 Configurations are interned.  While one is alive, building another with an
 equal key (number and member tuple) returns the same object, so every
 correct replica walking the same chain holds the same objects, and the
-member set and the successors of each are computed once.  Only
-configurations with the default `v` are interned: an explicit `v` builds a
-new object every time.  The table holds its objects weakly: it keeps no
-configuration alive by itself, so it holds only what some run still
-references (with the successors those built) and does not grow across runs.
+member set and the successors of each are computed once.  `v` is always
+derived from the member count, so the key determines the whole object.  The
+table holds its objects weakly: it keeps no configuration alive by itself,
+so it holds only what some run still references (with the successors those
+built) and does not grow across runs.
 """
 
 from __future__ import annotations
@@ -27,18 +27,16 @@ from bmsim.errors import InvalidInputError
 
 NodeId = str
 
-# (number, members) -> the live default-`v` configuration with that key
+# (number, members) -> the live configuration with that key
 _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class _Interned(type):
-    """Metaclass of `Configuration`: looks a default-`v` configuration up by
-    key before building it."""
+    """Metaclass of `Configuration`: looks a configuration up by key before
+    building it."""
 
-    def __call__(cls, number, members, v=-1):
+    def __call__(cls, number, members):
         members = tuple(members)
-        if v >= 0:
-            return super().__call__(number, members, v)
         key = (number, members)
         config = _interned.get(key)
         if config is None:
@@ -58,7 +56,7 @@ class Configuration(metaclass=_Interned):
 
     number: int
     members: tuple[NodeId, ...]
-    v: int = field(default=-1)
+    v: int = field(init=False)
     # (node, joining) -> the successor `with_member`/`without_member` built
     _successors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -67,8 +65,7 @@ class Configuration(metaclass=_Interned):
             raise InvalidInputError(f"duplicate members in configuration {self.number}")
         if not self.members:
             raise InvalidInputError("configuration must have at least one member")
-        if self.v < 0:
-            object.__setattr__(self, "v", max_faults(len(self.members)) + 1)
+        object.__setattr__(self, "v", max_faults(len(self.members)) + 1)
 
     @property
     def size(self) -> int:

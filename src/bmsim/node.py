@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from bmsim.ledger import Ledger, LedgerTransaction
@@ -59,10 +60,9 @@ class TotalOrderBroadcast:
         self.log: list[tuple] = []
         self._keys: set = set()
         self.delivered = 0         # the log position: entries delivered so far
-        # (stored configuration, the members that reported seeing it) in the
-        # order of first reports: an entry's index is its configuration's rank
-        self.observed: list[tuple[Configuration, set[NodeId]]] = []
-        self._ranks: dict[Configuration, int] = {}
+        # stored configuration -> the members that reported seeing it, in the
+        # order of first reports (a configuration's rank)
+        self.observed: dict[Configuration, set[NodeId]] = {}
         self.observations = 0      # `tob_observed` entries applied
         # node_id -> (callback, first index it participates from)
         self._subscribers: dict[NodeId, tuple[Callable[[int, tuple], None], int]] = {}
@@ -96,11 +96,7 @@ class TotalOrderBroadcast:
         self.delivered = index + 1
         if payload[0] == "tob_observed":
             _, config, observer = payload
-            rank = self._ranks.get(config)
-            if rank is None:
-                rank = self._ranks[config] = len(self.observed)
-                self.observed.append((config, set()))
-            self.observed[rank][1].add(observer)
+            self.observed.setdefault(config, set()).add(observer)
             self.observations += 1
             return
         for node_id in list(self._subscribers):
@@ -108,7 +104,7 @@ class TotalOrderBroadcast:
             if callback is not None and index >= start:
                 callback(index, payload)
 
-    def observed_at(self, position: int) -> list[tuple[Configuration, set[NodeId]]]:
+    def observed_at(self, position: int) -> dict[Configuration, set[NodeId]]:
         """The observation table as it stood after `position` deliveries."""
         if position == self.delivered:
             return self.observed
@@ -116,7 +112,7 @@ class TotalOrderBroadcast:
         for payload in self.log[:position]:
             if payload[0] == "tob_observed":
                 table.setdefault(payload[1], set()).add(payload[2])
-        return list(table.items())
+        return table
 
     def subscribe(self, node_id: NodeId, callback: Callable[[int, tuple], None], start: int = 0) -> None:
         self._subscribers[node_id] = (callback, start)
@@ -238,7 +234,7 @@ class BftNode:
         self.c_cur = config
         self.c_last_voted = Configuration(*last_voted)
         if agreed_rank is not None:
-            self._agreed = self.tob.observed[agreed_rank][0]
+            self._agreed = list(self.tob.observed)[agreed_rank]
             self._agreed_rank = agreed_rank
         self._agreed_at = None
         self.vote_check_due = True
@@ -290,9 +286,9 @@ class BftNode:
         threshold = max_faults(self.c_cur.size) + 1
         members = self.c_cur.member_set
         best, rank = self._agreed, self._agreed_rank
-        table = self.tob.observed_at(self._log_position())
-        for index in range(0 if rank is None else rank + 1, len(table)):
-            config, observers = table[index]
+        start = 0 if rank is None else rank + 1
+        entries = islice(self.tob.observed_at(self._log_position()).items(), start, None)
+        for index, (config, observers) in enumerate(entries, start):
             if config.number <= best.number:
                 continue
             count = len(observers & members)

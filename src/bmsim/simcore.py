@@ -68,6 +68,9 @@ class AuthRegistry:
             material = f"{self._seed}:{node_id}".encode()
             self._secrets[node_id] = hashlib.sha256(material).digest()
 
+    def known(self, node_id: str) -> bool:
+        return node_id in self._secrets
+
     def sign(self, node_id: str, payload) -> str:
         secret = self._secrets.get(node_id)
         if secret is None:
@@ -127,14 +130,13 @@ class SimulationCore:
         self.schedule(self.now + delay, fn, label)
 
     def run(self, until: SimTime | None = None) -> None:
-        heap, pop, record = self._heap, heapq.heappop, self._ring.append
+        heap, record = self._heap, self._ring.append
         last = self._seq + RUN_EVENT_BUDGET
-        limit = math.inf if until is None else until
         while heap:
-            if heap[0][0] > limit:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return
-            at, seq, label, fn = pop(heap)
+            at, seq, label, fn = heapq.heappop(heap)
             if seq > last:
                 raise InvariantViolation(
                     f"event budget exhausted: over {RUN_EVENT_BUDGET:,} events "
@@ -161,7 +163,7 @@ class SimulationCore:
 
     def send(self, sender: str, receiver: str, payload: tuple) -> None:
         """Queue a message for delivery under the synchrony model."""
-        if sender not in self.auth._secrets:
+        if not self.auth.known(sender):
             raise InvalidInputError(f"unknown sender {sender!r}")
         now, net = self.now, self.network
         if now >= net.gst:

@@ -236,7 +236,7 @@ def full_scan_latest(node):
     threshold = max_faults(node.c_cur.size) + 1
     members = set(node.c_cur.members)
     best, rank = node._agreed, node._agreed_rank
-    for index, (config, observers) in enumerate(node.tob.observed_at(node._log_position())):
+    for index, (config, observers) in enumerate(node.tob.observed_at(node._log_position()).items()):
         if config.number <= best.number:
             continue
         count = len(observers & members)

@@ -258,9 +258,6 @@ def test_equal_keys_share_one_configuration():
     assert Configuration(3, list(c.members)) is c
     assert c.with_member("x") is c.with_member("x") is cfg_of(c.members + ("x",), 4)
     assert c.without_member("n0") is cfg_of(c.members[1:], 4)
-    # an explicit threshold is not interned
-    explicit = Configuration(3, c.members, v=c.v)
-    assert explicit is not c and explicit == c
 
 
 def test_interning_keeps_nothing_alive():

@@ -14,6 +14,15 @@ derived from the member count, so the key determines the whole object.  The
 table holds its objects weakly: it keeps no configuration alive by itself,
 so it holds only what some run still references (with the successors those
 built) and does not grow across runs.
+
+Because equal live configurations are one object, a configuration compares
+and hashes by identity: a dict keyed by configurations (the ordered log's
+observation table, the memo below) costs O(1) per lookup, not a hash of the
+member tuple.  `symmetric_difference` and `overlap_ok` derive from the count
+of shared members, which is memoised per pair of objects on the
+lower-numbered one, keyed by the other.  Like `_successors`, every such
+reference points to a higher number, so a run's configurations form no
+reference cycle and are freed as soon as the run drops them.
 """
 
 from __future__ import annotations
@@ -44,21 +53,24 @@ class _Interned(type):
         return config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration(metaclass=_Interned):
     """A numbered membership of the cluster.
 
     `members` is an ordered, duplicate-free tuple of node ids; `number`
     strictly increases along any accepted configuration chain.  `v` is the
     count of registry votes needed to replace this configuration once it is
-    the stored one.
+    the stored one.  Equality is identity, which interning makes the same as
+    equal keys.
     """
 
     number: int
     members: tuple[NodeId, ...]
     v: int = field(init=False)
     # (node, joining) -> the successor `with_member`/`without_member` built
-    _successors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _successors: dict = field(default_factory=dict, init=False, repr=False)
+    # higher-numbered configuration -> the count of members both hold
+    _shared: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.members)) != len(self.members):
@@ -112,8 +124,7 @@ def overlap_ok(c_pub: Configuration, c_local: Configuration) -> bool:
     registry updatable: the overlap must exceed both fault budgets combined."""
     if c_pub is c_local:
         return True   # n members overlap in n >= 2 * max_faults(n) + 1
-    overlap = len(c_pub.member_set & c_local.member_set)
-    return overlap >= max_faults(c_pub.size) + max_faults(c_local.size) + 1
+    return _shared_members(c_pub, c_local) >= max_faults(c_pub.size) + max_faults(c_local.size) + 1
 
 
 def max_batch_threshold(n: int) -> int:
@@ -135,7 +146,21 @@ def symmetric_difference(c_i: Configuration, c_j: Configuration) -> int:
     """Count of members present in exactly one of the two configurations."""
     if c_i is c_j:
         return 0
-    return len(c_i.member_set ^ c_j.member_set)
+    return c_i.size + c_j.size - 2 * _shared_members(c_i, c_j)
+
+
+def _shared_members(a: Configuration, b: Configuration) -> int:
+    """How many members two distinct configurations share, counted once per
+    pair.  Two with the same number (a fork) are counted afresh, since
+    neither may hold the other."""
+    if a.number > b.number:
+        a, b = b, a
+    elif a.number == b.number:
+        return len(a.member_set & b.member_set)
+    shared = a._shared.get(b)
+    if shared is None:
+        shared = a._shared[b] = len(a.member_set & b.member_set)
+    return shared
 
 
 class Policy(enum.Enum):

@@ -157,6 +157,7 @@ class BftNode:
         genesis: Configuration,
         params: NodeParams,
         monitor: RunMonitor,
+        on_due: Callable[[], None] = lambda: None,
     ):
         self.sim = sim
         self.id = node_id
@@ -164,6 +165,7 @@ class BftNode:
         self.ledger = ledger
         self.params = params
         self.monitor = monitor
+        self.on_due = on_due
 
         self.c_cur = genesis
         self.c_last_voted = genesis
@@ -172,8 +174,11 @@ class BftNode:
         # or less than `_t()` from it, and only applying a pending request or
         # `adopt` can change that.  So until `adopt` sets this flag again, a
         # checkpoint with nothing pending changes nothing and the run skips it.
+        # `_enqueue` and `adopt`, the only ways a replica becomes due, call
+        # `on_due`, so the run need not look for due replicas otherwise.
         self.vote_check_due = True
-        self.locally_observed: set[tuple] = set()
+        # numbers of the stored configurations this replica saw confirmed
+        self.locally_observed: set[int] = set()
         self.app_state: bytes = b"app:0"
         self.active = False
         self.retired = False
@@ -184,7 +189,8 @@ class BftNode:
         # joiners announced here and not yet confirmed: a dict, not a set, so
         # confirmations go out in arrival order whatever the hash seed
         self._announce_waiting: dict[NodeId, None] = {}
-        self._last_seen_stored_key: tuple = genesis.key()
+        # stored numbers only increase, so a number names a stored configuration
+        self._last_seen_stored_key: int = genesis.number
         # the last answer of `latest_registry_config`, its rank in the log's
         # table (None: genesis) and the count of applied observations it was
         # computed at (None: recompute)
@@ -238,6 +244,7 @@ class BftNode:
             self._agreed_rank = agreed_rank
         self._agreed_at = None
         self.vote_check_due = True
+        self.on_due()
         if self._is_byz(Behavior.DROP_MESSAGES):
             self._frozen_at = log_position
         self.activate(from_log_index=log_position)
@@ -292,7 +299,7 @@ class BftNode:
             if config.number <= best.number:
                 continue
             count = len(observers & members)
-            if self.id in members and self.id not in observers and config.key() in self.locally_observed:
+            if self.id in members and self.id not in observers and config.number in self.locally_observed:
                 count += 1
             if count >= threshold:
                 best, rank = config, index
@@ -380,6 +387,7 @@ class BftNode:
             return
         self._queued_nodes.add(req.node)
         self.pending.append(req)
+        self.on_due()
         self.monitor.request_ordered(req.key(), self.sim.now, self.id)
 
     # -- ledger observation ---------------------------------------------------------------
@@ -393,15 +401,15 @@ class BftNode:
 
     def _observe_confirmed_config(self) -> None:
         stored = self.ledger.confirmed_config()
-        key = stored.key()
-        if key == self._last_seen_stored_key:
+        number = stored.number
+        if number == self._last_seen_stored_key:
             return
-        self._last_seen_stored_key = key
-        self.locally_observed.add(key)
+        self._last_seen_stored_key = number
+        self.locally_observed.add(number)
         self._agreed_at = None
-        # a confirmed key never repeats, so each member reports it once
+        # a confirmed number never repeats, so each member reports it once
         if self.active and not self._is_byz(Behavior.SILENT):
-            self.tob.broadcast(("observed", key, self.id), ("tob_observed", stored, self.id))
+            self.tob.broadcast(("observed", number, self.id), ("tob_observed", stored, self.id))
 
     # -- checkpointing ------------------------------------------------------------------------
 

@@ -54,14 +54,21 @@ class AuthRegistry:
     Many signers sign the same payload (every responder signs one final join
     response body, and the joiner verifies each tag over it), so each
     distinct payload is encoded once per run and its bytes are kept.  The
-    memo is keyed by `repr(payload)`, which tells apart values that compare
-    equal but encode differently (`True`, `1` and `1.0`; `"a"` and `b"a"`).
+    memo is keyed by the payload itself, so a lookup is one C-level hash and
+    equality test; the member tuples of a final response body are the
+    interned configuration's own tuple, so equality skips them by identity.
+    Values that compare equal can still encode differently (`True`, `1` and
+    `1.0`; `0.0` and `-0.0`), so a payload that finds an equal key but is
+    not the object stored with it must also pass `_same_encoding`, and each
+    such variant keeps its own bytes.  A payload that cannot be hashed (one
+    holding a list) is encoded without the memo.
     """
 
     def __init__(self, seed: int):
         self._seed = seed
         self._secrets: dict[str, bytes] = {}
-        self._encoded: dict[str, bytes] = {}   # repr(payload) -> encode(payload)
+        # payload -> [(exact variant, encode(variant)), ...]
+        self._encoded: dict[tuple, list[tuple[tuple, bytes]]] = {}
 
     def register(self, node_id: str) -> None:
         if node_id not in self._secrets:
@@ -75,16 +82,40 @@ class AuthRegistry:
         secret = self._secrets.get(node_id)
         if secret is None:
             raise InvalidInputError(f"unknown node {node_id!r}")
-        key = repr(payload)
-        encoded = self._encoded.get(key)
-        if encoded is None:
-            encoded = self._encoded[key] = encode(payload)
-        return hashlib.sha256(secret + b"|" + encoded).hexdigest()
+        return hashlib.sha256(secret + b"|" + self._encode(payload)).hexdigest()
 
     def verify(self, node_id: str, payload, tag: str) -> bool:
         if node_id not in self._secrets:
             raise InvalidInputError(f"unknown node {node_id!r}")
         return self.sign(node_id, payload) == tag
+
+    def _encode(self, payload) -> bytes:
+        try:
+            variants = self._encoded.get(payload)
+        except TypeError:   # unhashable
+            return encode(payload)
+        for variant, encoded in variants or ():
+            if variant is payload or _same_encoding(variant, payload):
+                return encoded
+        encoded = encode(payload)
+        self._encoded.setdefault(payload, []).append((payload, encoded))
+        return encoded
+
+
+def _same_encoding(a, b) -> bool:
+    """Whether two values that compare equal also encode alike: their types
+    match all the way down, and equal floats have the same sign.  Identical
+    elements are skipped, such as the interned member tuples."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        for x, y in zip(a, b):
+            if x is not y and not _same_encoding(x, y):
+                return False
+        return True
+    if isinstance(a, float):
+        return math.copysign(1.0, a) == math.copysign(1.0, b)
+    return True
 
 
 # dispatched events (and monitor notes) kept for invariant-violation messages

@@ -199,6 +199,8 @@ class SimulationRun:
         )
 
         self.nodes: dict[str, BftNode] = {}
+        # whether some replica may have a pending request or a vote check due
+        self._checkpoint_due = True
         for member in genesis.members:
             node = self._make_node(member)
             node.activate(from_log_index=0)
@@ -224,19 +226,38 @@ class SimulationRun:
 
     def _make_node(self, node_id: str) -> BftNode:
         node = BftNode(
-            self.sim, node_id, self.tob, self.ledger, self.genesis, self.params, self.monitor
+            self.sim, node_id, self.tob, self.ledger, self.genesis, self.params, self.monitor,
+            on_due=self._mark_checkpoint_due,
         )
         self.nodes[node_id] = node
         return node
 
     # -- checkpointing -------------------------------------------------------------
 
+    def _mark_checkpoint_due(self) -> None:
+        self._checkpoint_due = True
+
     def _checkpoint_tick(self) -> None:
-        # a replica with nothing pending and no vote check due would change
-        # nothing (see `BftNode.vote_check_due`)
-        for node in self.nodes.values():
-            if node.active and (node.pending or node.vote_check_due):
-                node.on_checkpoint()
+        """Checkpoint, in creation order, each active replica with a pending
+        request or a vote check due; any other would change nothing (see
+        `BftNode.vote_check_due`).
+
+        The flag starts up for the genesis replicas.  After that a replica
+        becomes due only through `_enqueue` and `adopt` (which is also how a
+        joiner becomes active), and both raise the flag; a checkpointed
+        replica stays due only with requests still pending, and the walk
+        raises the flag for those.  So a tick with the flag down has no
+        replica to visit and costs O(1), and a replica made due during a walk
+        is visited by the next tick at the latest, as before.  Every tick
+        re-arms the next at the same time either way, so ticks keep their
+        place among events at equal times."""
+        if self._checkpoint_due:
+            self._checkpoint_due = False
+            for node in self.nodes.values():
+                if node.active and (node.pending or node.vote_check_due):
+                    node.on_checkpoint()
+                    if node.pending:
+                        self._checkpoint_due = True
         self.sim.schedule_in(
             self.scenario.checkpoint_interval, self._checkpoint_tick, label="checkpoint"
         )

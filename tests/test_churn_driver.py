@@ -15,17 +15,23 @@ parked driver must check less often, always on its grid.
 The same scenarios, and the golden matrix, also check the shared
 configuration objects at every checkpoint tick: each replica's registry scan
 against a scan of the whole observation table, and the cached member-set
-arithmetic against plain sets.
+arithmetic against plain sets.  They check the per-pair membership memo
+against fresh set arithmetic over every pair of configurations a run builds,
+and the flagged checkpoint tick against `VisitingRun`, whose tick looks at
+every replica.
 """
 
+import gc
 import itertools
 import random
 
 import pytest
 
+from bmsim import membership
 from bmsim.errors import ScenarioValidationError
 from bmsim.harness import write_result_csvs
-from bmsim.membership import max_faults, overlap_ok, symmetric_difference
+from bmsim.membership import Configuration, max_faults, overlap_ok, symmetric_difference
+from bmsim.node import BftNode
 from bmsim.scenario import long_range_scenario, scenario_from_dict
 from bmsim.simulation import ChurnDriver, SimulationRun
 from test_golden_matrix import MATRIX
@@ -145,11 +151,23 @@ def generated_scenarios(per_setting: int = 6) -> list[dict]:
 SCENARIOS = generated_scenarios()
 
 
-def run_with(scenario, driver_cls, out_dir, drains=None):
+class VisitingRun(SimulationRun):
+    """A run whose checkpoint tick looks at every replica at every tick."""
+
+    def _checkpoint_tick(self) -> None:
+        for node in self.nodes.values():
+            if node.active and (node.pending or node.vote_check_due):
+                node.on_checkpoint()
+        self.sim.schedule_in(
+            self.scenario.checkpoint_interval, self._checkpoint_tick, label="checkpoint"
+        )
+
+
+def run_with(scenario, driver_cls, out_dir, drains=None, run_cls=SimulationRun):
     """The run's result, its CSVs and, for each check of the driver, its
     time, the count of votes then pending and whether the driver parked.
     The times of blocks that execute the last pending vote go to `drains`."""
-    run = SimulationRun(scenario)
+    run = run_cls(scenario)
     if driver_cls is not None:
         run.driver = driver_cls(run)
     driver = run.driver
@@ -240,7 +258,7 @@ def full_scan_latest(node):
         if config.number <= best.number:
             continue
         count = len(observers & members)
-        if node.id in members and node.id not in observers and config.key() in node.locally_observed:
+        if node.id in members and node.id not in observers and config.number in node.locally_observed:
             count += 1
         if count >= threshold:
             best, rank = config, index
@@ -279,3 +297,105 @@ def test_registry_scan_matches_full_scan(data, monkeypatch):
     monkeypatch.setattr(SimulationRun, "_checkpoint_tick", checked_tick)
     SimulationRun(scenario_from_dict(data)).run()
     assert max(answers) > 0 or data["name"] not in MATRIX
+
+
+def recorded_checkpoints(monkeypatch) -> list:
+    """From now on, each `on_checkpoint` call's time, replica and count of
+    requests it left pending."""
+    calls = []
+    on_checkpoint = BftNode.on_checkpoint
+
+    def recorded(node):
+        on_checkpoint(node)
+        calls.append((node.sim.now, node.id, len(node.pending)))
+
+    monkeypatch.setattr(BftNode, "on_checkpoint", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("data", SCENARIOS, ids=[d["name"] for d in SCENARIOS])
+def test_flagged_tick_matches_visiting_tick(data, tmp_path, monkeypatch):
+    """The same replicas checkpoint at the same times, in the same order, as
+    with a tick that looks at every replica, and the bytes are equal.  At
+    every tick the flagged run skips, no replica is due."""
+    calls = recorded_checkpoints(monkeypatch)
+    skipped = []
+    tick = SimulationRun._checkpoint_tick
+
+    def checked_tick(run):
+        if not run._checkpoint_due:
+            skipped.append(run.sim.now)
+            assert not any(
+                n.active and (n.pending or n.vote_check_due) for n in run.nodes.values()
+            ), f"t={run.sim.now}"
+        tick(run)
+
+    monkeypatch.setattr(SimulationRun, "_checkpoint_tick", checked_tick)
+    flagged, flagged_csvs, _ = run_with(scenario_from_dict(data), None, tmp_path / "flagged")
+    flagged_calls, calls[:] = list(calls), []
+    visited, visited_csvs, _ = run_with(
+        scenario_from_dict(data), None, tmp_path / "visited", run_cls=VisitingRun
+    )
+    assert (flagged.completed, flagged.end_time) == (visited.completed, visited.end_time)
+    assert flagged_csvs == visited_csvs
+    assert flagged_calls == calls and calls
+    assert skipped
+
+
+def check_pair_arithmetic(keys):
+    configs = [Configuration(*key) for key in keys]
+    for a, b in itertools.product(configs, repeat=2):
+        sa, sb = frozenset(a.members), frozenset(b.members)
+        assert symmetric_difference(a, b) == len(sa ^ sb), (a.key(), b.key())
+        fresh = len(sa & sb) >= max_faults(len(sa)) + max_faults(len(sb)) + 1
+        assert overlap_ok(a, b) == fresh, (a.key(), b.key())
+
+
+@pytest.mark.parametrize("data", DIFFERENTIAL, ids=[d["name"] for d in DIFFERENTIAL])
+def test_pair_memo_matches_set_arithmetic(data, monkeypatch):
+    """Every pair of configurations the run reached (those it built and
+    those alive at its end), in both orders: once with the run's objects and
+    the memo the run filled, and once more after they were dropped,
+    collected and rebuilt from their keys in reverse order, so that new
+    objects may take the ids of old ones with other members."""
+    keys = {}
+    post_init = Configuration.__post_init__
+
+    def recorded(config):
+        post_init(config)
+        keys[config.key()] = None
+
+    monkeypatch.setattr(Configuration, "__post_init__", recorded)
+    run = SimulationRun(scenario_from_dict(data))
+    run.run()
+    keys.update(dict.fromkeys(membership._interned.keys()))
+    assert len(keys) > 1
+    check_pair_arithmetic(keys)
+    del run
+    gc.collect()
+    check_pair_arithmetic(list(keys)[::-1])
+
+
+def test_flagged_tick_keeps_blocked_requests_due(tmp_path, monkeypatch):
+    """Three departures ordered at once, two of them outside the driver's
+    pacing: each waits at every replica until the registry stores the one
+    before, so replicas stay due across ticks with a request still pending.
+    The flagged tick must still visit them as the visiting tick does."""
+    calls = recorded_checkpoints(monkeypatch)
+    data = {"name": "blocked", "seed": 3, "initial_size": 7, "churn": [{"op": "leave", "node": "n4"}]}
+    outcomes = []
+    for run_cls in (SimulationRun, VisitingRun):
+        run = run_cls(scenario_from_dict(data))
+
+        def leave_twice(run=run):
+            for node in ("n5", "n6"):
+                sig = run.sim.auth.sign(node, ("leave_request", node))
+                run.tob.broadcast(("leave", node, 1), ("tob_leave", node, 1, sig))
+
+        run.sim.schedule(1.0, leave_twice)
+        result = run.run()
+        paths = write_result_csvs(result, tmp_path / run_cls.__name__, block_trace=True)
+        outcomes.append((result.end_time, {n: p.read_bytes() for n, p in paths.items()}, list(calls)))
+        calls.clear()
+    assert outcomes[0] == outcomes[1]
+    assert len({at for at, _, pending in outcomes[0][2] if pending}) > 1

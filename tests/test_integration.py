@@ -2,9 +2,11 @@
 evictions, departures with refunds, forged state toward clients, what the
 ordered log passes to replicas, and the recent events a violation reports."""
 
+import gc
+
 import pytest
 
-from bmsim import simcore
+from bmsim import membership, simcore
 from bmsim.contract import RegistryContract
 from bmsim.errors import InvariantViolation
 from bmsim.membership import Configuration, Policy
@@ -185,6 +187,19 @@ def test_correct_replicas_share_configuration_objects(monkeypatch):
     replicas = run.correct_active_nodes()
     assert len(replicas) == 30
     assert all(node.c_cur is replicas[0].c_cur for node in replicas)
+
+
+def test_dropped_runs_leave_no_configuration_alive():
+    # no memo holds a configuration past its run: once a growth run and a
+    # batch of attack runs are dropped and collected, the interning table
+    # is empty (no other test keeps a configuration alive either)
+    gc.collect()
+    run_scenario(growth_scenario(Policy.EVERY, 4, 20, seed=1))
+    for seed in (1, 2, 3):
+        for mode in ("with_bms", "no_bms"):
+            run_scenario(long_range_scenario(mode, seed=seed))
+    gc.collect()
+    assert not membership._interned
 
 
 def test_contract_violation_reports_recent_events(monkeypatch):

@@ -351,9 +351,9 @@ def test_node_built_mid_run_starts_from_confirmed_config():
     h.sim.run(until=1500.0)  # inclusion plus 37 confirmations of about 15 s
     assert h.ledger.confirmed_config() == target
     late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
-    assert late.locally_observed == {target.key()}
+    assert late.locally_observed == {target.number}
     assert late.latest_registry_config() == target
-    assert late._last_seen_stored_key == target.key()
+    assert late._last_seen_stored_key == target.number
 
 
 def test_monitor_rejects_checkpoint_latency_beyond_interval():

@@ -136,6 +136,8 @@ def _signer():
 @pytest.mark.parametrize("payloads", [
     [("x", True), ("x", 1), ("x", 1.0)],
     [("x", "a"), ("x", b"a")],
+    [("x", 0.0), ("x", -0.0)],
+    [(("x", True),), (("x", 1),), (("x", 1.0),)],
 ])
 def test_sign_memo_keeps_payloads_that_encode_differently_apart(payloads):
     # the payloads compare equal or hold the same text, but encode
@@ -155,3 +157,12 @@ def test_sign_memo_may_share_a_tuple_and_a_list():
     auth = _signer()
     assert auth.verify("a", ["x", 1], auth.sign("a", ("x", 1)))
     assert auth.verify("a", ("x", 1), auth.sign("a", ["x", 1]))
+
+
+def test_sign_memo_signs_unhashable_payloads():
+    auth = _signer()
+    payload = ("x", ["a", ("b", 1.5)], None)
+    tag = auth.sign("a", payload)
+    assert auth.verify("a", payload, tag)
+    assert auth.verify("a", ("x", ("a", ("b", 1.5)), None), tag)
+    assert not auth.verify("a", ("x", ["a", ("b", 2.5)], None), tag)

@@ -24,7 +24,7 @@ from bmsim.harness import (
     sweep,
 )
 from bmsim.membership import Policy
-from bmsim.scenario import check_range
+from bmsim.scenario import ScenarioConfig, check_range
 
 POLICY_NAMES = {"t1": Policy.EVERY, "halff": Policy.HALF_F}
 
@@ -84,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 def _check_arguments(args) -> None:
     """Range-check the numeric arguments like scenario fields, before any run."""
     if args.command == "sweep":
+        check_range("--from", args.from_size, ScenarioConfig.__dataclass_fields__["initial_size"].metadata)
         check_range("--to", args.to_size, {"gt": args.from_size})
     elif args.command == "attack-demo":
         check_range("--seeds", args.seeds, {"ge": 1})

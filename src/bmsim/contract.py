@@ -66,9 +66,8 @@ class RegistryContract:
         self.c_cur = genesis
         self.cost = cost
         self.registrations: list[Registration] = []
-        # vote sets keyed by (number, members); dicts keep insertion order
-        self._votes: dict[tuple, dict[NodeId, None]] = {}
-        self._vote_configs: dict[tuple, Configuration] = {}
+        # vote sets keyed by the interned configuration; dicts keep insertion order
+        self._votes: dict[Configuration, dict[NodeId, None]] = {}
         self.balance = 0
         self.total_collected = 0
         self.total_paid = 0
@@ -78,7 +77,7 @@ class RegistryContract:
     # -- reads ---------------------------------------------------------------
 
     def votes_for(self, config: Configuration) -> set[NodeId]:
-        return set(self._votes.get(config.key(), {}))
+        return set(self._votes.get(config, {}))
 
     def active_registration(self, node: NodeId) -> Registration | None:
         for reg in self.registrations:
@@ -119,12 +118,9 @@ class RegistryContract:
             return report
         if config.number <= self.c_cur.number:
             return report
-        key = config.key()
-        voters = self._votes.get(key)
+        voters = self._votes.get(config)
         if voters is None:
-            voters = {}
-            self._votes[key] = voters
-            self._vote_configs[key] = config
+            voters = self._votes[config] = {}
             report.first_vote = True
         if voter in voters:
             report.duplicate_vote = True
@@ -136,31 +132,30 @@ class RegistryContract:
 
     # -- update logic ----------------------------------------------------------
 
-    def _counted_voters(self, key: tuple) -> list[NodeId]:
-        members = set(self.c_cur.members)
-        return [p for p in self._votes[key] if p in members]
+    def _counted_voters(self, config: Configuration) -> list[NodeId]:
+        members = self.c_cur.member_set
+        return [p for p in self._votes[config] if p in members]
 
     def _try_update(self) -> list[UpdateEvent]:
         events = []
         while True:
             candidates = []
-            for key in self._votes:
-                number, members = key
-                if number <= self.c_cur.number:
+            for config in self._votes:
+                if config.number <= self.c_cur.number:
                     continue
-                counted = self._counted_voters(key)
+                counted = self._counted_voters(config)
                 if counted and len(counted) >= self.c_cur.v:
-                    candidates.append((number, members, counted))
+                    candidates.append((config, counted))
             if not candidates:
                 return events
-            number, members, counted = max(
-                candidates, key=lambda c: (c[0], tuple(reversed(c[1])))
+            config, counted = max(
+                candidates, key=lambda c: (c[0].number, tuple(reversed(c[0].members)))
             )
-            events.append(self._execute_update(self._vote_configs[(number, members)], counted))
+            events.append(self._execute_update(config, counted))
 
     def _execute_update(self, new_config: Configuration, counted: list[NodeId]) -> UpdateEvent:
-        joining = set(new_config.members) - set(self.c_cur.members)
-        leaving = set(self.c_cur.members) - set(new_config.members)
+        joining = new_config.member_set - self.c_cur.member_set
+        leaving = self.c_cur.member_set - new_config.member_set
         reward = 0
         for reg in self.registrations:
             if reg.id in joining and not reg.join_paid:
@@ -178,8 +173,7 @@ class RegistryContract:
             raise InvariantViolation("contract balance went negative during reward payout")
 
         old = self.c_cur
-        # the stored threshold is always recomputed for the incoming membership
-        self.c_cur = Configuration(new_config.number, new_config.members)
+        self.c_cur = new_config
         if self.c_cur.number <= old.number:
             raise InvariantViolation("configuration number did not increase")
         self._gc_votes(self.c_cur.number)
@@ -196,10 +190,9 @@ class RegistryContract:
         return event
 
     def _gc_votes(self, up_to_number: int) -> None:
-        stale = [key for key in self._votes if key[0] <= up_to_number]
-        for key in stale:
-            del self._votes[key]
-            del self._vote_configs[key]
+        stale = [config for config in self._votes if config.number <= up_to_number]
+        for config in stale:
+            del self._votes[config]
 
     # -- introspection -----------------------------------------------------------
 
@@ -214,7 +207,7 @@ class RegistryContract:
             "regs": sorted(
                 (r.id, r.fee, r.join_paid, r.leave_paid) for r in self.registrations
             ),
-            "votes": {
-                key: tuple(sorted(voters)) for key, voters in sorted(self._votes.items())
-            },
+            "votes": dict(sorted(
+                (config.key(), tuple(sorted(voters))) for config, voters in self._votes.items()
+            )),
         }

@@ -177,8 +177,6 @@ class BftNode:
         # `_enqueue` and `adopt`, the only ways a replica becomes due, call
         # `on_due`, so the run need not look for due replicas otherwise.
         self.vote_check_due = True
-        # numbers of the stored configurations this replica saw confirmed
-        self.locally_observed: set[int] = set()
         self.app_state: bytes = b"app:0"
         self.active = False
         self.retired = False
@@ -191,6 +189,10 @@ class BftNode:
         self._announce_waiting: dict[NodeId, None] = {}
         # stored numbers only increase, so a number names a stored configuration
         self._last_seen_stored_key: int = genesis.number
+        # the first stored number this replica saw confirmed (None: none yet);
+        # the ledger observer is never removed and fires at each change of the
+        # confirmed state, so it has seen every stored number from that one on
+        self._first_seen_stored: int | None = None
         # the last answer of `latest_registry_config`, its rank in the log's
         # table (None: genesis) and the count of applied observations it was
         # computed at (None: recompute)
@@ -292,14 +294,14 @@ class BftNode:
             return cached
         threshold = max_faults(self.c_cur.size) + 1
         members = self.c_cur.member_set
-        best, rank = self._agreed, self._agreed_rank
+        best, rank, first = self._agreed, self._agreed_rank, self._first_seen_stored
         start = 0 if rank is None else rank + 1
         entries = islice(self.tob.observed_at(self._log_position()).items(), start, None)
         for index, (config, observers) in enumerate(entries, start):
             if config.number <= best.number:
                 continue
             count = len(observers & members)
-            if self.id in members and self.id not in observers and config.number in self.locally_observed:
+            if first is not None and config.number >= first and self.id in members and self.id not in observers:
                 count += 1
             if count >= threshold:
                 best, rank = config, index
@@ -405,7 +407,8 @@ class BftNode:
         if number == self._last_seen_stored_key:
             return
         self._last_seen_stored_key = number
-        self.locally_observed.add(number)
+        if self._first_seen_stored is None:
+            self._first_seen_stored = number
         self._agreed_at = None
         # a confirmed number never repeats, so each member reports it once
         if self.active and not self._is_byz(Behavior.SILENT):

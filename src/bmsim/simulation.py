@@ -273,7 +273,7 @@ class SimulationRun:
 
     def publication_confirmed(self) -> bool:
         """Whether the ledger has confirmed the configuration the contract stores."""
-        return self.ledger.confirmed_config().key() == self.contract.c_cur.key()
+        return self.ledger.confirmed_config() is self.contract.c_cur
 
     def quiescent(self) -> bool:
         """No vote in flight, the stored configuration confirmed, and every

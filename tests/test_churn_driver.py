@@ -1,24 +1,36 @@
-"""The parked churn driver against a 5 s poller.
+"""Each generated scenario and each golden-matrix scenario runs twice: as the
+real run, with read-only shadows attached, and as a reference run.
 
-`ChurnDriver` parks while an op waits for an admission, the execution of the
-last pending vote or a confirmation, and is woken onto its 5 s grid (see its
-docstring).  `PollingDriver` below is the driver without parking: it checks
-every 5 s from the op's start, with the quiescence check that walks every
-pending transaction and builds the list of correct replicas.  Both run the
-same generated small scenarios, which vary what could move an event onto the
-other side of a woken check: checkpoint intervals under and over the 5 s
-grid, short and long revote timeouts, zero and long TOB latency, every churn
-op, every corruption behaviour and pre-GST drops.  Every CSV (the block trace
-included), the end time and the completion flag must be equal, and the
-parked driver must check less often, always on its grid.
+`ReferenceRun` drops two shortcuts of the real run.  Its `PollingDriver`
+checks every 5 s from an op's start and never parks, with a quiescence check
+that walks every transaction and every correct replica, and its checkpoint
+tick looks at every replica, not only while the run's due flag is up.  The
+generated scenarios vary what could move an event across a woken check or a
+skipped tick: checkpoint intervals under and over the 5 s grid, short and
+long revote timeouts, zero and long TOB latency, every churn op, every
+corruption behaviour and pre-GST drops.  The two results and the sequences
+of checkpoints must be equal, and the real driver must check less often,
+always on its grid.
 
-The same scenarios, and the golden matrix, also check the shared
-configuration objects at every checkpoint tick: each replica's registry scan
-against a scan of the whole observation table, and the cached member-set
-arithmetic against plain sets.  They check the per-pair membership memo
-against fresh set arithmetic over every pair of configurations a run builds,
-and the flagged checkpoint tick against `VisitingRun`, whose tick looks at
-every replica.
+The shadows only read the real run, so its result stays comparable:
+- `RecordedRun` wraps each replica's `on_checkpoint` (time, replica, requests
+  left pending) and `_observe_confirmed_config` (the stored numbers it saw
+  confirmed, kept apart from the replica's own record);
+- at a tick the real run skips, no replica is due;
+- before and after every tick, the correct replicas that still apply the log
+  hold one `c_cur`, one pending queue and one `c_last_voted`.  Before it, a
+  replica admitted since the last tick may hold an older `c_last_voted`: a
+  final response carries the responder's from before its vote, and the
+  joiner's first checkpoint catches up;
+- before every tick, each active replica's `latest_registry_config` equals a
+  scan of the whole observation table.  Asking writes `_agreed`,
+  `_agreed_rank` and `_agreed_at`, so the shadow restores them, and it asks
+  again only when an input of the answer changed.  The member-set arithmetic
+  of each pair the replicas compare is checked once against plain sets;
+- after the run, every pair of configurations it reached is checked against
+  fresh set arithmetic, with the run's objects and again after they are
+  collected and rebuilt in reverse order, so that new objects may take the
+  ids of old ones with other members.
 """
 
 import gc
@@ -29,9 +41,7 @@ import pytest
 
 from bmsim import membership
 from bmsim.errors import ScenarioValidationError
-from bmsim.harness import write_result_csvs
 from bmsim.membership import Configuration, max_faults, overlap_ok, symmetric_difference
-from bmsim.node import BftNode
 from bmsim.scenario import long_range_scenario, scenario_from_dict
 from bmsim.simulation import ChurnDriver, SimulationRun
 from test_golden_matrix import MATRIX
@@ -151,8 +161,38 @@ def generated_scenarios(per_setting: int = 6) -> list[dict]:
 SCENARIOS = generated_scenarios()
 
 
-class VisitingRun(SimulationRun):
-    """A run whose checkpoint tick looks at every replica at every tick."""
+class RecordedRun(SimulationRun):
+    """A run that records each replica's checkpoints, with the time and the
+    count of requests left pending, and the stored numbers it saw confirmed."""
+
+    def __init__(self, scenario):
+        self.checkpoints, self.seen = [], {}
+        super().__init__(scenario)
+
+    def _make_node(self, node_id):
+        node = super()._make_node(node_id)
+        on_checkpoint, observe = node.on_checkpoint, node._observe_confirmed_config
+        seen = self.seen[node_id] = {self.ledger.confirmed_config().number}
+
+        def checkpointed():
+            on_checkpoint()
+            self.checkpoints.append((self.sim.now, node_id, len(node.pending)))
+
+        def observed():
+            observe()
+            seen.add(self.ledger.confirmed_config().number)
+
+        node.on_checkpoint, node._observe_confirmed_config = checkpointed, observed
+        return node
+
+
+class ReferenceRun(RecordedRun):
+    """A run that polls instead of parking and whose checkpoint tick looks at
+    every replica at every tick."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.driver = PollingDriver(self)
 
     def _checkpoint_tick(self) -> None:
         for node in self.nodes.values():
@@ -163,15 +203,103 @@ class VisitingRun(SimulationRun):
         )
 
 
-def run_with(scenario, driver_cls, out_dir, drains=None, run_cls=SimulationRun):
-    """The run's result, its CSVs and, for each check of the driver, its
-    time, the count of votes then pending and whether the driver parked.
-    The times of blocks that execute the last pending vote go to `drains`."""
-    run = run_cls(scenario)
-    if driver_cls is not None:
-        run.driver = driver_cls(run)
-    driver = run.driver
-    polls = []
+class ShadowedRun(RecordedRun):
+    """The real run, checked before and after each checkpoint tick."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.skipped = 0
+        self.admitted = set()   # replicas admitted since the last tick
+        self.asked = {}         # inputs of a registry answer -> the answer
+        self.pairs = set()      # configuration pairs checked
+        join_admitted = self.monitor.join_admitted
+
+        def admitted(node_id, at):
+            self.admitted.add(node_id)
+            join_admitted(node_id, at)
+
+        self.monitor.join_admitted = admitted
+
+    def _checkpoint_tick(self) -> None:
+        if not self._checkpoint_due:
+            self.skipped += 1
+            assert not any(
+                n.active and (n.pending or n.vote_check_due) for n in self.nodes.values()
+            ), f"t={self.sim.now}"
+        self.check_agreement(self.admitted)
+        self.check_registry_scans()
+        super()._checkpoint_tick()
+        self.check_agreement(())
+        self.admitted.clear()
+
+    def check_agreement(self, exempt_from_last_voted) -> None:
+        """Configurations are interned, so equal keys are one object."""
+        group = [n for n in self.correct_active_nodes() if n._frozen_at is None]
+        first = group[0]
+        for node in group:
+            assert (node.c_cur, node.pending) == (first.c_cur, first.pending), (
+                f"t={self.sim.now}: {node.id} disagrees with {first.id}"
+            )
+        voted = {n.c_last_voted for n in group if n.id not in exempt_from_last_voted}
+        assert len(voted) <= 1, f"t={self.sim.now}: c_last_voted disagrees: {voted}"
+
+    def check_registry_scans(self) -> None:
+        published = self.ledger.confirmed_config()
+        for node in self.nodes.values():
+            if not node.active:
+                continue
+            latch = node._agreed, node._agreed_rank, node._agreed_at
+            seen = self.seen[node.id]
+            inputs = (node.id, node.c_cur, node.c_last_voted, published, node._log_position(),
+                      node.tob.observations, *latch, len(seen))
+            if inputs in self.asked:
+                continue
+            expected = full_scan_latest(node, seen)
+            latest = self.asked[inputs] = node.latest_registry_config()
+            assert (latest, node._agreed_rank) == expected, f"t={self.sim.now}: {node.id}"
+            node._agreed, node._agreed_rank, node._agreed_at = latch
+            for pair in ((latest, node.c_cur), (node.c_last_voted, node.c_cur), (published, latest)):
+                if pair not in self.pairs:
+                    self.pairs.add(pair)
+                    check_pair(*pair)
+
+
+def full_scan_latest(node, seen):
+    """`BftNode.latest_registry_config` over the whole observation table, with
+    `seen` for the stored numbers the replica saw confirmed: its answer and
+    that answer's rank."""
+    threshold = max_faults(node.c_cur.size) + 1
+    members = set(node.c_cur.members)
+    best, rank = node._agreed, node._agreed_rank
+    for index, (config, observers) in enumerate(node.tob.observed_at(node._log_position()).items()):
+        if config.number <= best.number:
+            continue
+        count = len(observers & members)
+        if node.id in members and node.id not in observers and config.number in seen:
+            count += 1
+        if count >= threshold:
+            best, rank = config, index
+    return best, rank
+
+
+def check_pair(a, b):
+    sa, sb = frozenset(a.members), frozenset(b.members)
+    assert symmetric_difference(a, b) == len(sa ^ sb), (a.key(), b.key())
+    fresh = len(sa & sb) >= max_faults(len(sa)) + max_faults(len(sb)) + 1
+    assert overlap_ok(a, b) == fresh, (a.key(), b.key())
+
+
+def check_pair_arithmetic(keys):
+    configs = [Configuration(*key) for key in keys]
+    for a, b in itertools.product(configs, repeat=2):
+        check_pair(a, b)
+
+
+def recorded_polls(run, drains=None) -> list:
+    """For each check of the run's driver, its time, the count of votes then
+    pending and whether the driver parked.  The times of blocks that execute
+    the last pending vote go to `drains`."""
+    driver, polls = run.driver, []
     poll = driver._poll
 
     def counted_poll():
@@ -183,9 +311,7 @@ def run_with(scenario, driver_cls, out_dir, drains=None, run_cls=SimulationRun):
     driver._poll = counted_poll
     if drains is not None:
         run.ledger.add_drain_hook(lambda: drains.append(run.sim.now))
-    result = run.run()
-    paths = write_result_csvs(result, out_dir, block_trace=True)
-    return result, {name: path.read_bytes() for name, path in paths.items()}, polls
+    return polls
 
 
 def test_generated_scenarios_cover_the_settings():
@@ -198,35 +324,76 @@ def test_generated_scenarios_cover_the_settings():
     )
 
 
-@pytest.mark.parametrize("data", SCENARIOS, ids=[d["name"] for d in SCENARIOS])
-def test_parked_driver_matches_polling_driver(data, tmp_path):
-    parked, parked_csvs, parked_polls = run_with(
-        scenario_from_dict(data), None, tmp_path / "parked"
-    )
-    polled, polled_csvs, polled_polls = run_with(
-        scenario_from_dict(data), PollingDriver, tmp_path / "polled"
-    )
-    assert (parked.completed, parked.end_time) == (polled.completed, polled.end_time)
-    assert parked_csvs == polled_csvs
-    assert 0 < len(parked_polls) < len(polled_polls)
-    assert all(at % ChurnDriver.POLL == 0 for at, _, _ in parked_polls)
+ORACLE = [dict(data, name=name) for name, (data, _, _) in MATRIX.items()] + SCENARIOS
+
+
+@pytest.fixture(scope="module")
+def frozen_heap():
+    """Collect once and freeze what is left, so that each `gc.collect()`
+    below scans only the objects made since."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@pytest.fixture
+def collect_own(frozen_heap):
+    """Collect what the test leaves behind, so that no later run shares its
+    configuration objects."""
+    yield
+    gc.collect()
+
+
+@pytest.mark.parametrize("data", ORACLE, ids=[d["name"] for d in ORACLE])
+def test_shadowed_run_matches_reference_run(data, monkeypatch, collect_own):
+    """Equal results (every CSV is written from the result alone), the same
+    checkpoints, and fewer driver checks, all on the grid.  A matrix run ends
+    at its pinned time, and some replica answers past genesis."""
+    keys = {}
+    post_init = Configuration.__post_init__
+
+    def recorded(config):
+        post_init(config)
+        keys[config.key()] = None
+
+    monkeypatch.setattr(Configuration, "__post_init__", recorded)
+    run = ShadowedRun(scenario_from_dict(data))
+    polls = recorded_polls(run)
+    result = run.run()
+    checkpoints, skipped = run.checkpoints, run.skipped
+    answers = {config.number for config in run.asked.values()}
+    keys.update(dict.fromkeys(membership._interned.keys()))
+    assert len(keys) > 1
+    check_pair_arithmetic(keys)
+    del run
+    gc.collect()
+    check_pair_arithmetic(list(keys)[::-1])
+
+    reference = ReferenceRun(scenario_from_dict(data))
+    reference_polls = recorded_polls(reference)
+    assert result == reference.run()
+    assert checkpoints == reference.checkpoints and checkpoints
+    assert skipped
+    assert 0 < len(polls) < len(reference_polls)
+    assert all(at % ChurnDriver.POLL == 0 for at, _, _ in polls)
+    if data["name"] in MATRIX:
+        assert result.completed and result.end_time == MATRIX[data["name"]][1]
+        assert max(answers) > 0
 
 
 @pytest.mark.parametrize("mode", ("with_bms", "no_bms"))
-def test_driver_sleeps_while_votes_pending(mode, tmp_path):
+def test_driver_sleeps_while_votes_pending(mode):
     """The attack workload's turnover, where a 5 s poller finds a vote
     pending at many of its checks.  The parked driver sleeps through them,
     finding votes pending at most once per op, and checks again at the first
     grid point after the block that executes the last pending vote."""
     drains = []
-    parked, parked_csvs, parked_polls = run_with(
-        long_range_scenario(mode, seed=1), None, tmp_path / "parked", drains
-    )
-    polled, polled_csvs, polled_polls = run_with(
-        long_range_scenario(mode, seed=1), PollingDriver, tmp_path / "polled"
-    )
-    assert parked.completed and parked.end_time == polled.end_time
-    assert parked_csvs == polled_csvs
+    real = SimulationRun(long_range_scenario(mode, seed=1))
+    reference = ReferenceRun(long_range_scenario(mode, seed=1))
+    parked_polls, polled_polls = recorded_polls(real, drains), recorded_polls(reference)
+    result = real.run()
+    assert result.completed and result == reference.run()
     assert all(at % ChurnDriver.POLL == 0 for at, _, _ in parked_polls)
     ops = len(long_range_scenario(mode).churn)
     assert 0 < sum(1 for _, pending, _ in parked_polls if pending) <= ops
@@ -240,151 +407,18 @@ def test_driver_sleeps_while_votes_pending(mode, tmp_path):
     assert woken > 0
 
 
-def test_some_generated_scenarios_complete(tmp_path):
-    completed = sum(
-        run_with(scenario_from_dict(data), None, tmp_path / data["name"])[0].completed
-        for data in SCENARIOS[:8]
-    )
-    assert completed >= 4
+def test_some_generated_scenarios_complete():
+    assert sum(SimulationRun(scenario_from_dict(data)).run().completed for data in SCENARIOS[:8]) >= 4
 
 
-def full_scan_latest(node):
-    """`BftNode.latest_registry_config` over the whole observation table:
-    its answer and that answer's rank, without moving the replica's cache."""
-    threshold = max_faults(node.c_cur.size) + 1
-    members = set(node.c_cur.members)
-    best, rank = node._agreed, node._agreed_rank
-    for index, (config, observers) in enumerate(node.tob.observed_at(node._log_position()).items()):
-        if config.number <= best.number:
-            continue
-        count = len(observers & members)
-        if node.id in members and node.id not in observers and config.number in node.locally_observed:
-            count += 1
-        if count >= threshold:
-            best, rank = config, index
-    return best, rank
-
-
-def check_shared_facts(run, answers):
-    for node in run.nodes.values():
-        if not node.active:
-            continue
-        expected = full_scan_latest(node)
-        latest = node.latest_registry_config()
-        assert (latest, node._agreed_rank) == expected, f"t={run.sim.now}: {node.id}"
-        answers.add(latest.number)
-        for a, b in ((latest, node.c_cur), (node.c_last_voted, node.c_cur), (node.published(), latest)):
-            sa, sb = set(a.members), set(b.members)
-            assert symmetric_difference(a, b) == len(sa ^ sb)
-            assert overlap_ok(a, b) == (len(sa & sb) >= max_faults(len(sa)) + max_faults(len(sb)) + 1)
-
-
-DIFFERENTIAL = [dict(data, name=name) for name, (data, _, _) in MATRIX.items()] + SCENARIOS
-
-
-@pytest.mark.parametrize("data", DIFFERENTIAL, ids=[d["name"] for d in DIFFERENTIAL])
-def test_registry_scan_matches_full_scan(data, monkeypatch):
-    """Asking every active replica at every tick moves their caches, so this
-    run's bytes are not compared with anything.  In every matrix scenario
-    some replica answers a configuration other than genesis."""
-    answers = set()
-    tick = SimulationRun._checkpoint_tick
-
-    def checked_tick(run):
-        check_shared_facts(run, answers)
-        tick(run)
-
-    monkeypatch.setattr(SimulationRun, "_checkpoint_tick", checked_tick)
-    SimulationRun(scenario_from_dict(data)).run()
-    assert max(answers) > 0 or data["name"] not in MATRIX
-
-
-def recorded_checkpoints(monkeypatch) -> list:
-    """From now on, each `on_checkpoint` call's time, replica and count of
-    requests it left pending."""
-    calls = []
-    on_checkpoint = BftNode.on_checkpoint
-
-    def recorded(node):
-        on_checkpoint(node)
-        calls.append((node.sim.now, node.id, len(node.pending)))
-
-    monkeypatch.setattr(BftNode, "on_checkpoint", recorded)
-    return calls
-
-
-@pytest.mark.parametrize("data", SCENARIOS, ids=[d["name"] for d in SCENARIOS])
-def test_flagged_tick_matches_visiting_tick(data, tmp_path, monkeypatch):
-    """The same replicas checkpoint at the same times, in the same order, as
-    with a tick that looks at every replica, and the bytes are equal.  At
-    every tick the flagged run skips, no replica is due."""
-    calls = recorded_checkpoints(monkeypatch)
-    skipped = []
-    tick = SimulationRun._checkpoint_tick
-
-    def checked_tick(run):
-        if not run._checkpoint_due:
-            skipped.append(run.sim.now)
-            assert not any(
-                n.active and (n.pending or n.vote_check_due) for n in run.nodes.values()
-            ), f"t={run.sim.now}"
-        tick(run)
-
-    monkeypatch.setattr(SimulationRun, "_checkpoint_tick", checked_tick)
-    flagged, flagged_csvs, _ = run_with(scenario_from_dict(data), None, tmp_path / "flagged")
-    flagged_calls, calls[:] = list(calls), []
-    visited, visited_csvs, _ = run_with(
-        scenario_from_dict(data), None, tmp_path / "visited", run_cls=VisitingRun
-    )
-    assert (flagged.completed, flagged.end_time) == (visited.completed, visited.end_time)
-    assert flagged_csvs == visited_csvs
-    assert flagged_calls == calls and calls
-    assert skipped
-
-
-def check_pair_arithmetic(keys):
-    configs = [Configuration(*key) for key in keys]
-    for a, b in itertools.product(configs, repeat=2):
-        sa, sb = frozenset(a.members), frozenset(b.members)
-        assert symmetric_difference(a, b) == len(sa ^ sb), (a.key(), b.key())
-        fresh = len(sa & sb) >= max_faults(len(sa)) + max_faults(len(sb)) + 1
-        assert overlap_ok(a, b) == fresh, (a.key(), b.key())
-
-
-@pytest.mark.parametrize("data", DIFFERENTIAL, ids=[d["name"] for d in DIFFERENTIAL])
-def test_pair_memo_matches_set_arithmetic(data, monkeypatch):
-    """Every pair of configurations the run reached (those it built and
-    those alive at its end), in both orders: once with the run's objects and
-    the memo the run filled, and once more after they were dropped,
-    collected and rebuilt from their keys in reverse order, so that new
-    objects may take the ids of old ones with other members."""
-    keys = {}
-    post_init = Configuration.__post_init__
-
-    def recorded(config):
-        post_init(config)
-        keys[config.key()] = None
-
-    monkeypatch.setattr(Configuration, "__post_init__", recorded)
-    run = SimulationRun(scenario_from_dict(data))
-    run.run()
-    keys.update(dict.fromkeys(membership._interned.keys()))
-    assert len(keys) > 1
-    check_pair_arithmetic(keys)
-    del run
-    gc.collect()
-    check_pair_arithmetic(list(keys)[::-1])
-
-
-def test_flagged_tick_keeps_blocked_requests_due(tmp_path, monkeypatch):
+def test_flagged_tick_keeps_blocked_requests_due():
     """Three departures ordered at once, two of them outside the driver's
     pacing: each waits at every replica until the registry stores the one
     before, so replicas stay due across ticks with a request still pending.
     The flagged tick must still visit them as the visiting tick does."""
-    calls = recorded_checkpoints(monkeypatch)
     data = {"name": "blocked", "seed": 3, "initial_size": 7, "churn": [{"op": "leave", "node": "n4"}]}
     outcomes = []
-    for run_cls in (SimulationRun, VisitingRun):
+    for run_cls in (RecordedRun, ReferenceRun):
         run = run_cls(scenario_from_dict(data))
 
         def leave_twice(run=run):
@@ -393,9 +427,6 @@ def test_flagged_tick_keeps_blocked_requests_due(tmp_path, monkeypatch):
                 run.tob.broadcast(("leave", node, 1), ("tob_leave", node, 1, sig))
 
         run.sim.schedule(1.0, leave_twice)
-        result = run.run()
-        paths = write_result_csvs(result, tmp_path / run_cls.__name__, block_trace=True)
-        outcomes.append((result.end_time, {n: p.read_bytes() for n, p in paths.items()}, list(calls)))
-        calls.clear()
+        outcomes.append((run.run(), run.checkpoints))
     assert outcomes[0] == outcomes[1]
-    assert len({at for at, _, pending in outcomes[0][2] if pending}) > 1
+    assert len({at for at, _, pending in outcomes[0][1] if pending}) > 1

@@ -489,10 +489,13 @@ def test_attack_demo_api_seeds():
     [
         (["sweep", "--policy", "t1", "--from", "100", "--to", "4"], "--to"),
         (["sweep", "--policy", "t1", "--from", "4", "--to", "4"], "--to"),
+        (["sweep", "--policy", "t1", "--from", "0"], "--from"),
+        (["sweep", "--policy", "t1", "--from", "20000", "--to", "20001"], "--from"),
         (["attack-demo", "--mode", "bms", "--seeds", "0"], "--seeds"),
         (["attack-demo", "--mode", "bms", "--seeds", "-3"], "--seeds"),
     ],
-    ids=["to_below_from", "to_equals_from", "zero_seeds", "negative_seeds"],
+    ids=["to_below_from", "to_equals_from", "zero_from", "from_above_initial_size_bound",
+         "zero_seeds", "negative_seeds"],
 )
 def test_cli_rejects_bad_arguments_by_flag(argv, flag, tmp_path, capsys):
     out = tmp_path / "o"

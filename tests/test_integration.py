@@ -189,6 +189,18 @@ def test_correct_replicas_share_configuration_objects(monkeypatch):
     assert all(node.c_cur is replicas[0].c_cur for node in replicas)
 
 
+def test_events_per_join_over_n_do_not_rise_with_size():
+    # per-join work linear in n, as a count that does not vary between runs:
+    # events scheduled per join, divided by n, on the `t1` growth from 4
+    # (seed 1 gives 14.74, 11.10 and 9.34)
+    ratios = []
+    for n in (25, 50, 100):
+        run = SimulationRun(growth_scenario(Policy.EVERY, 4, n, seed=1))
+        assert run.run().completed
+        ratios.append(run.sim._seq / (n - 4) / n)
+    assert ratios == sorted(ratios, reverse=True), ratios
+
+
 def test_dropped_runs_leave_no_configuration_alive():
     # no memo holds a configuration past its run: once a growth run and a
     # batch of attack runs are dropped and collected, the interning table

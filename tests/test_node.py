@@ -351,9 +351,33 @@ def test_node_built_mid_run_starts_from_confirmed_config():
     h.sim.run(until=1500.0)  # inclusion plus 37 confirmations of about 15 s
     assert h.ledger.confirmed_config() == target
     late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
-    assert late.locally_observed == {target.number}
+    assert late._first_seen_stored == target.number
     assert late.latest_registry_config() == target
     assert late._last_seen_stored_key == target.number
+
+
+def test_own_confirmed_observation_counts_toward_the_quorum(monkeypatch):
+    """f = 1, so a configuration needs two reports from current members.  A
+    member with no report in the table that saw the configuration confirmed,
+    from genesis or from when it was built, counts its own observation; the
+    one member whose report is there counts it only once."""
+    h = Harness()
+    target = Configuration(1, h.genesis.members + ("j1",))
+    for voter in ("n0", "n1"):
+        h.ledger.submit_tx(
+            LedgerTransaction(kind="vote", submitter=voter, submitted_at=0.0, config=target)
+        )
+    monkeypatch.setattr(h.tob, "broadcast", lambda key, payload: False)   # no report is ordered
+    h.ledger.start()
+    h.sim.run(until=1500.0)
+    monkeypatch.undo()
+    assert h.ledger.confirmed_config() is target
+    late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
+    late.adopt(b"app:0", target, h.tob.delivered, target.key(), None)
+    h.observe(target, "n1")
+    assert h.nodes["n0"].latest_registry_config() is target
+    assert late.latest_registry_config() is target
+    assert h.nodes["n1"].latest_registry_config() is h.genesis
 
 
 def test_monitor_rejects_checkpoint_latency_beyond_interval():

@@ -25,8 +25,9 @@ The shadows only read the real run, so its result stays comparable:
 - before every tick, each active replica's `latest_registry_config` equals a
   scan of the whole observation table.  Asking writes `_agreed`,
   `_agreed_rank` and `_agreed_at`, so the shadow restores them, and it asks
-  again only when an input of the answer changed.  The member-set arithmetic
-  of each pair the replicas compare is checked once against plain sets;
+  again only when an input of the answer or of a pair below changed.  The
+  member-set arithmetic of each pair the replicas compare is checked once
+  against plain sets;
 - after the run, every pair of configurations it reached is checked against
   fresh set arithmetic, with the run's objects and again after they are
   collected and rebuilt in reverse order, so that new objects may take the

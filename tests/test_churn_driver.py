@@ -32,8 +32,15 @@ The shadows only read the real run, so its result stays comparable:
   fresh set arithmetic, with the run's objects and again after they are
   collected and rebuilt in reverse order, so that new objects may take the
   ids of old ones with other members.
+
+A failing shadow keeps its first failure and lets the run go on.  `oracle`
+makes the two runs of a scenario once, and each test below, with
+`test_correct_replicas_agree_at_every_checkpoint` in `test_golden_matrix.py`,
+reads the comparisons and the shadow failures it names from them.
 """
 
+import contextlib
+import functools
 import gc
 import itertools
 import random
@@ -205,11 +212,14 @@ class ReferenceRun(RecordedRun):
 
 
 class ShadowedRun(RecordedRun):
-    """The real run, checked before and after each checkpoint tick."""
+    """The real run, checked before and after each checkpoint tick.  The
+    first failure of each check is kept in `failures` and the run goes on,
+    so that each test raises the failures of the checks it names."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self.skipped = 0
+        self.ticks = self.skipped = 0
+        self.failures = {}      # check -> its first AssertionError
         self.admitted = set()   # replicas admitted since the last tick
         self.asked = {}         # inputs of a registry answer -> the answer
         self.pairs = set()      # configuration pairs checked
@@ -222,16 +232,27 @@ class ShadowedRun(RecordedRun):
         self.monitor.join_admitted = admitted
 
     def _checkpoint_tick(self) -> None:
+        self.ticks += 1
         if not self._checkpoint_due:
             self.skipped += 1
-            assert not any(
-                n.active and (n.pending or n.vote_check_due) for n in self.nodes.values()
-            ), f"t={self.sim.now}"
-        self.check_agreement(self.admitted)
-        self.check_registry_scans()
+            self.shadow("skipped tick", self.check_nothing_due)
+        self.shadow("agreement", self.check_agreement, self.admitted)
+        self.shadow("registry scan", self.check_registry_scans)
         super()._checkpoint_tick()
-        self.check_agreement(())
+        self.shadow("agreement", self.check_agreement, ())
         self.admitted.clear()
+
+    def shadow(self, check, method, *args) -> None:
+        if check not in self.failures:
+            try:
+                method(*args)
+            except AssertionError as failure:
+                self.failures[check] = failure
+
+    def check_nothing_due(self) -> None:
+        assert not any(
+            n.active and (n.pending or n.vote_check_due) for n in self.nodes.values()
+        ), f"t={self.sim.now}"
 
     def check_agreement(self, exempt_from_last_voted) -> None:
         """Configurations are interned, so equal keys are one object."""
@@ -256,13 +277,15 @@ class ShadowedRun(RecordedRun):
             if inputs in self.asked:
                 continue
             expected = full_scan_latest(node, seen)
-            latest = self.asked[inputs] = node.latest_registry_config()
-            assert (latest, node._agreed_rank) == expected, f"t={self.sim.now}: {node.id}"
-            node._agreed, node._agreed_rank, node._agreed_at = latch
+            try:
+                latest = self.asked[inputs] = node.latest_registry_config()
+                assert (latest, node._agreed_rank) == expected, f"t={self.sim.now}: {node.id}"
+            finally:
+                node._agreed, node._agreed_rank, node._agreed_at = latch
             for pair in ((latest, node.c_cur), (node.c_last_voted, node.c_cur), (published, latest)):
                 if pair not in self.pairs:
                     self.pairs.add(pair)
-                    check_pair(*pair)
+                    self.shadow("pair arithmetic", check_pair, *pair)
 
 
 def full_scan_latest(node, seen):
@@ -325,7 +348,76 @@ def test_generated_scenarios_cover_the_settings():
     )
 
 
-ORACLE = [dict(data, name=name) for name, (data, _, _) in MATRIX.items()] + SCENARIOS
+ORACLE = {data["name"]: data for data in
+          [dict(data, name=name) for name, (data, _, _) in MATRIX.items()] + SCENARIOS}
+
+
+@contextlib.contextmanager
+def recorded_keys():
+    """The key of every configuration built inside the block."""
+    keys = {}
+    post_init = Configuration.__post_init__
+
+    def recorded(config):
+        post_init(config)
+        keys[config.key()] = None
+
+    Configuration.__post_init__ = recorded
+    try:
+        yield keys
+    finally:
+        Configuration.__post_init__ = post_init
+
+
+class Outcome:
+    """One scenario run once as a `ShadowedRun` and once as a `ReferenceRun`,
+    with every pair of configurations the shadowed run reached checked in
+    between.  `errors` holds the first failure of each check and the error of
+    a run that raised; `read` raises them for the checks a test names."""
+
+    def __init__(self, data):
+        self.errors = {}
+        with recorded_keys() as keys:
+            run = ShadowedRun(scenario_from_dict(data))
+            self.polls = recorded_polls(run)
+            self.result = self.attempt("run", run.run)
+        self.errors.update(run.failures)
+        self.checkpoints, self.ticks, self.skipped = run.checkpoints, run.ticks, run.skipped
+        self.answers = {config.number for config in run.asked.values()}
+        keys.update(dict.fromkeys(membership._interned.keys()))
+        self.configurations = len(keys)
+        self.attempt("pair arithmetic", check_pair_arithmetic, keys)
+        del run
+        gc.collect()
+        self.attempt("pair arithmetic", check_pair_arithmetic, list(keys)[::-1])
+
+        reference = ReferenceRun(scenario_from_dict(data))
+        self.reference_polls = recorded_polls(reference)
+        self.reference_result = self.attempt("reference", reference.run)
+        self.reference_checkpoints = reference.checkpoints
+        # no later run shares this scenario's configuration objects
+        del reference
+        gc.collect()
+
+    def attempt(self, check, function, *args):
+        if check not in self.errors:
+            try:
+                return function(*args)
+            except Exception as error:
+                self.errors[check] = error
+        return None
+
+    def read(self, *checks) -> "Outcome":
+        for check in ("run", *checks):
+            if check in self.errors:
+                raise self.errors[check]
+        return self
+
+
+@functools.cache
+def oracle(name: str) -> Outcome:
+    """The outcome of `ORACLE[name]`, made once for every test that reads it."""
+    return Outcome(ORACLE[name])
 
 
 @pytest.fixture(scope="module")
@@ -338,49 +430,48 @@ def frozen_heap():
     gc.unfreeze()
 
 
-@pytest.fixture
-def collect_own(frozen_heap):
-    """Collect what the test leaves behind, so that no later run shares its
-    configuration objects."""
-    yield
-    gc.collect()
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_parked_driver_matches_polling_driver(name, frozen_heap):
+    """Equal results (every CSV is written from the result alone), and fewer
+    driver checks than the 5 s poller, all on the grid."""
+    outcome = oracle(name).read("reference")
+    assert outcome.result == outcome.reference_result
+    assert 0 < len(outcome.polls) < len(outcome.reference_polls)
+    assert all(at % ChurnDriver.POLL == 0 for at, _, _ in outcome.polls)
 
 
-@pytest.mark.parametrize("data", ORACLE, ids=[d["name"] for d in ORACLE])
-def test_shadowed_run_matches_reference_run(data, monkeypatch, collect_own):
-    """Equal results (every CSV is written from the result alone), the same
-    checkpoints, and fewer driver checks, all on the grid.  A matrix run ends
-    at its pinned time, and some replica answers past genesis."""
-    keys = {}
-    post_init = Configuration.__post_init__
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_flagged_tick_matches_visiting_tick(name, frozen_heap):
+    """The same replicas checkpoint at the same times, in the same order, as
+    with a tick that visits every replica, and the results are equal.  At
+    every tick the flagged run skips, no replica is due, and around every
+    tick the correct replicas agree."""
+    outcome = oracle(name).read("reference", "skipped tick", "agreement")
+    assert outcome.result == outcome.reference_result
+    assert outcome.checkpoints == outcome.reference_checkpoints and outcome.checkpoints
+    assert outcome.skipped
 
-    def recorded(config):
-        post_init(config)
-        keys[config.key()] = None
 
-    monkeypatch.setattr(Configuration, "__post_init__", recorded)
-    run = ShadowedRun(scenario_from_dict(data))
-    polls = recorded_polls(run)
-    result = run.run()
-    checkpoints, skipped = run.checkpoints, run.skipped
-    answers = {config.number for config in run.asked.values()}
-    keys.update(dict.fromkeys(membership._interned.keys()))
-    assert len(keys) > 1
-    check_pair_arithmetic(keys)
-    del run
-    gc.collect()
-    check_pair_arithmetic(list(keys)[::-1])
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_registry_scan_matches_full_scan(name, frozen_heap):
+    """Before every tick, each active replica's answer and its rank equal a
+    scan of the whole observation table, and the member-set arithmetic of
+    the pairs the replicas compare equals plain sets.  In every matrix
+    scenario some replica answers a configuration other than genesis."""
+    outcome = oracle(name).read("registry scan", "pair arithmetic")
+    assert outcome.answers
+    assert max(outcome.answers) > 0 or name not in MATRIX
 
-    reference = ReferenceRun(scenario_from_dict(data))
-    reference_polls = recorded_polls(reference)
-    assert result == reference.run()
-    assert checkpoints == reference.checkpoints and checkpoints
-    assert skipped
-    assert 0 < len(polls) < len(reference_polls)
-    assert all(at % ChurnDriver.POLL == 0 for at, _, _ in polls)
-    if data["name"] in MATRIX:
-        assert result.completed and result.end_time == MATRIX[data["name"]][1]
-        assert max(answers) > 0
+
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_pair_memo_matches_set_arithmetic(name, frozen_heap):
+    """Every pair of configurations the run reached (those it built and
+    those alive at its end), in both orders: once with the run's objects and
+    the memo the run filled, and once more after they were dropped,
+    collected and rebuilt from their keys in reverse order, so that new
+    objects may take the ids of old ones with other members."""
+    outcome = oracle(name).read("pair arithmetic")
+    assert outcome.configurations > 1
 
 
 @pytest.mark.parametrize("mode", ("with_bms", "no_bms"))

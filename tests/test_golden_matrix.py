@@ -8,9 +8,10 @@ its request, and absolute-time corruption with each misbehavior that acts
 during a run, one of them of a joiner activated before its node is built.
 The sha256 of every CSV (the block trace included) and the end time are
 pinned, so a refactor that changes the event order on any of these paths
-fails here.  `tests/test_churn_driver.py` runs the same scenarios against its
-reference run, with the agreement of the correct replicas checked around
-every checkpoint tick.
+fails here.  The same scenarios also check, around every checkpoint tick,
+that the correct replicas hold the same replicated state: the shadowed run
+of `tests/test_churn_driver.py` makes the check, in the one run of each
+scenario that every oracle test there reads.
 """
 
 import hashlib
@@ -172,3 +173,20 @@ def test_golden_matrix(name, tmp_path):
     assert result.completed
     assert result.end_time == end_time
     assert digests == golden
+
+
+@pytest.mark.parametrize("name", list(MATRIX))
+def test_correct_replicas_agree_at_every_checkpoint(name):
+    """Before and after every checkpoint tick, the correct, active replicas
+    that still apply the ordered log hold one `c_cur`, one queue of pending
+    requests and one `c_last_voted`.  Before the tick, a replica admitted
+    since the previous tick may hold an older `c_last_voted`: a final response
+    carries the responder's from before its vote, and the joiner's first
+    checkpoint catches up."""
+    # imported here: test_churn_driver imports MATRIX from this module
+    from test_churn_driver import oracle
+
+    outcome = oracle(name).read("agreement")
+    assert outcome.result.completed and outcome.result.end_time == MATRIX[name][1]
+    interval = scenario_from_dict(dict(MATRIX[name][0], name=name)).checkpoint_interval
+    assert outcome.ticks >= outcome.result.end_time // interval - 1

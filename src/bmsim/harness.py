@@ -50,19 +50,13 @@ def resolve_out_dir(explicit: str | None) -> Path:
     return Path("bmsim-out")
 
 
-def write_result_csvs(
-    result: RunResult,
-    out_dir: Path,
-    block_trace: bool = False,
-    skip_confirmation: float | None = None,
-) -> dict[str, Path]:
-    """Write the four metric CSVs (plus the optional per-block trace).
+def result_csv_texts(result: RunResult, block_trace: bool = False,
+                     skip_confirmation: float | None = None) -> dict[str, str]:
+    """The four metric CSVs (plus the optional per-block trace), by file name.
 
     `skip_confirmation` substitutes the analytic constant for the realized
     confirmation latency, reproducing the measurement shortcut.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
     contents = {
         "joins.csv": joins_csv(result.joins, skip_confirmation),
         "votes.csv": votes_csv(result.votes),
@@ -71,10 +65,17 @@ def write_result_csvs(
     }
     if block_trace:
         contents["blocks.csv"] = rows_to_csv(BLOCKS_HEADER, result.block_rows)
-    for name, text in contents.items():
-        path = out_dir / name
-        path.write_text(text)
-        paths[name] = path
+    return contents
+
+
+def write_result_csvs(result: RunResult, out_dir: Path, block_trace: bool = False,
+                      skip_confirmation: float | None = None) -> dict[str, Path]:
+    """Write `result_csv_texts` into `out_dir`; each file's path by name."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, text in result_csv_texts(result, block_trace, skip_confirmation).items():
+        paths[name] = out_dir / name
+        paths[name].write_text(text)
     return paths
 
 

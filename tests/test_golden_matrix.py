@@ -8,10 +8,8 @@ its request, and absolute-time corruption with each misbehavior that acts
 during a run, one of them of a joiner activated before its node is built.
 The sha256 of every CSV (the block trace included) and the end time are
 pinned, so a refactor that changes the event order on any of these paths
-fails here.  The same scenarios also check, around every checkpoint tick,
-that the correct replicas hold the same replicated state: the shadowed run
-of `tests/test_churn_driver.py` makes the check, in the one run of each
-scenario that every oracle test there reads.
+fails here.  The shadowed runs of `tests/test_churn_driver.py` also check
+that the correct replicas of these scenarios agree around every tick.
 """
 
 import hashlib
@@ -156,37 +154,26 @@ MATRIX = {
 }
 
 
-def run_matrix_scenario(name, out_dir):
-    data = MATRIX[name][0]
+@pytest.mark.parametrize("name", list(MATRIX))
+def test_golden_matrix(name, tmp_path):
+    data, end_time, golden = MATRIX[name]
     scenario = scenario_from_dict(dict(data, name=name))
     scenario.validate()
     result = run_scenario(scenario)
-    paths = write_result_csvs(result, out_dir, block_trace=True)
-    digests = {file: hashlib.sha256(path.read_bytes()).hexdigest() for file, path in paths.items()}
-    return result, digests
-
-
-@pytest.mark.parametrize("name", list(MATRIX))
-def test_golden_matrix(name, tmp_path):
-    _, end_time, golden = MATRIX[name]
-    result, digests = run_matrix_scenario(name, tmp_path)
+    paths = write_result_csvs(result, tmp_path, block_trace=True)
     assert result.completed
     assert result.end_time == end_time
-    assert digests == golden
+    assert {file: hashlib.sha256(path.read_bytes()).hexdigest() for file, path in paths.items()} == golden
 
 
 @pytest.mark.parametrize("name", list(MATRIX))
 def test_correct_replicas_agree_at_every_checkpoint(name):
-    """Before and after every checkpoint tick, the correct, active replicas
-    that still apply the ordered log hold one `c_cur`, one queue of pending
-    requests and one `c_last_voted`.  Before the tick, a replica admitted
-    since the previous tick may hold an older `c_last_voted`: a final response
-    carries the responder's from before its vote, and the joiner's first
-    checkpoint catches up."""
+    """`ShadowedRun.check_agreement` passed around every tick of the run."""
     # imported here: test_churn_driver imports MATRIX from this module
     from test_churn_driver import oracle
 
-    outcome = oracle(name).read("agreement")
-    assert outcome.result.completed and outcome.result.end_time == MATRIX[name][1]
+    outcome = oracle(name)
+    result = outcome.output[0]
+    assert result.completed and result.end_time == MATRIX[name][1]
     interval = scenario_from_dict(dict(MATRIX[name][0], name=name)).checkpoint_interval
-    assert outcome.ticks >= outcome.result.end_time // interval - 1
+    assert outcome.ticks >= result.end_time // interval - 1

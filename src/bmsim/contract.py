@@ -15,7 +15,7 @@ from bmsim.errors import InvariantViolation
 from bmsim.membership import Configuration, NodeId
 
 
-@dataclass
+@dataclass(slots=True)
 class Registration:
     """A joining fee deposit.  Half is paid out when the node enters the
     stored configuration, the other half when it later leaves; the
@@ -31,7 +31,7 @@ class Registration:
         return self.join_paid and self.leave_paid
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateEvent:
     old: Configuration
     new: Configuration
@@ -41,7 +41,7 @@ class UpdateEvent:
     members_removed: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionReport:
     """What a transaction did, for gas metering and metrics."""
 

@@ -5,13 +5,15 @@ become includable after a truncated-normal inclusion delay and execute, in
 submission order, in the first block produced after that.  There are no forks:
 finality is modeled purely through the confirmation depth below the head.
 Observers are told only at the blocks where that confirmed state changes.
+A block is kept as its production time plus the ids of the transactions it
+executed, if any.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from bmsim.contract import ExecutionReport, RegistryContract
@@ -65,7 +67,7 @@ def usd_cost(gas: float, pm: PriceModel) -> float:
     return gas * pm.gas_price_gwei * 1e-9 * pm.eth_usd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerTransaction:
     kind: str                    # "register" | "vote"
     submitter: NodeId
@@ -76,14 +78,14 @@ class LedgerTransaction:
     config: Configuration | None = None  # vote
 
 
-@dataclass
+@dataclass(slots=True)
 class TxReceipt:
     gas_used: int
     included_height: int
     accepted: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     tx_id: int
     tx: LedgerTransaction
@@ -93,13 +95,6 @@ class TxRecord:
     included_at: float | None = None
     receipt: TxReceipt | None = None
     report: ExecutionReport | None = None
-
-
-@dataclass
-class Block:
-    height: int
-    produced_at: float
-    tx_ids: list[int] = field(default_factory=list)
 
 
 class Ledger:
@@ -123,7 +118,11 @@ class Ledger:
         self.inclusion_delay = inclusion_delay or TruncatedNormal(27.7, 24.9, 0.0)
         self.confirmation_depth = confirmation_depth
 
-        self.blocks: list[Block] = [Block(height=0, produced_at=0.0)]
+        # production time by height, genesis first
+        self.block_times: list[float] = [0.0]
+        # height -> ids of the transactions the block executed, in execution
+        # order, for the blocks that executed any; heights ascend
+        self.block_tx_ids: dict[int, list[int]] = {}
         # max(0, head height - confirmation depth), set as each block is added
         self.confirmed_height = 0
         self.records: dict[int, TxRecord] = {}
@@ -167,19 +166,18 @@ class Ledger:
         return tx_id
 
     def _produce_block(self) -> None:
-        height = len(self.blocks)
-        block = Block(height=height, produced_at=self.sim.now)
+        height = len(self.block_times)
         stored_before = len(self.config_log)
         votes_before = self.pending_votes
         still_pending = []
         for tx_id in self._pending:
             record = self.records[tx_id]
             if record.ready_at <= self.sim.now:
-                self._execute(record, block)
+                self._execute(record, height)
             else:
                 still_pending.append(tx_id)
         self._pending = still_pending
-        self.blocks.append(block)
+        self.block_times.append(self.sim.now)
         self.confirmed_height = max(0, height - self.confirmation_depth)
         self.contract.check_conservation()
         if len(self.config_log) > stored_before:
@@ -193,28 +191,28 @@ class Ledger:
                 hook()
         self._schedule_next_block()
 
-    def _execute(self, record: TxRecord, block: Block) -> None:
+    def _execute(self, record: TxRecord, height: int) -> None:
         tx = record.tx
         if tx.kind == "register":
             report = self.contract.apply_register(tx.node, tx.fee)
             if report.accepted:
-                self._registration_heights[tx.node] = block.height
-                self._change_heights.add(block.height)
+                self._registration_heights[tx.node] = height
+                self._change_heights.add(height)
         elif tx.kind == "vote":
             self.pending_votes -= 1
             report = self.contract.apply_vote(tx.config, tx.submitter)
             for event in report.updates:
-                self.config_log.append((block.height, event.new))
-                self._config_heights.append(block.height)
-                self._change_heights.add(block.height)
+                self.config_log.append((height, event.new))
+                self._config_heights.append(height)
+                self._change_heights.add(height)
         else:
             raise InvalidInputError(f"unknown transaction kind {tx.kind!r}")
         gas = self._meter(report)
         record.report = report
-        record.receipt = TxReceipt(gas_used=gas, included_height=block.height, accepted=report.accepted)
-        record.included_height = block.height
+        record.receipt = TxReceipt(gas_used=gas, included_height=height, accepted=report.accepted)
+        record.included_height = height
         record.included_at = self.sim.now
-        block.tx_ids.append(record.tx_id)
+        self.block_tx_ids.setdefault(height, []).append(record.tx_id)
 
     def _meter(self, report: ExecutionReport) -> int:
         g = self.gas
@@ -232,10 +230,6 @@ class Ledger:
         return max(gas, g.g_base)
 
     # -- queries ------------------------------------------------------------------
-
-    @property
-    def head(self) -> Block:
-        return self.blocks[-1]
 
     def stored_config_at(self, height: int) -> Configuration:
         idx = bisect.bisect_right(self._config_heights, height) - 1

@@ -16,7 +16,7 @@ from bmsim.membership import Configuration, NodeId, overlap_ok, symmetric_differ
 from bmsim.simcore import SimulationCore
 
 
-@dataclass
+@dataclass(slots=True)
 class JoinRecord:
     node: NodeId
     size: int = 0
@@ -42,7 +42,7 @@ class JoinRecord:
         return self.processed_at - self.ordered_at
 
 
-@dataclass
+@dataclass(slots=True)
 class VoteRecord:
     size: int
     config_number: int

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
+from bmsim.errors import InvariantViolation
 from bmsim.ledger import Ledger, LedgerTransaction
 from bmsim.membership import (
     Configuration,
@@ -42,9 +43,9 @@ class Behavior(enum.Enum):
 class TotalOrderBroadcast:
     """Idealized total-order broadcast with constant delivery latency.
 
-    All subscribers see the same payloads in the same order; duplicates are
-    suppressed by payload key.  Byzantine nodes may decline to broadcast but
-    cannot reorder or fork the log.
+    All subscribers see the same payloads in the same order; duplicate
+    requests are suppressed by key.  Byzantine nodes may decline to broadcast
+    but cannot reorder or fork the log.
 
     Every replica would apply a `tob_observed` entry (a member reporting a
     stored registry configuration) in the same way, so the log applies each
@@ -58,7 +59,7 @@ class TotalOrderBroadcast:
         self.sim = sim
         self.latency = latency
         self.log: list[tuple] = []
-        self._keys: set = set()
+        self._keys: set = set()    # the keys of the requests in the log
         self.delivered = 0         # the log position: entries delivered so far
         # stored configuration -> the members that reported seeing it, in the
         # order of first reports (a configuration's rank)
@@ -68,9 +69,13 @@ class TotalOrderBroadcast:
         self._subscribers: dict[NodeId, tuple[Callable[[int, tuple], None], int]] = {}
 
     def broadcast(self, key, payload: tuple) -> bool:
-        if key in self._keys:
-            return False
-        self._keys.add(key)
+        """Append `payload` unless a request with `key` is in the log already.
+        A report of a stored configuration passes no key (None): a member
+        reports each stored number once, and `_deliver` checks that."""
+        if key is not None:
+            if key in self._keys:
+                return False
+            self._keys.add(key)
         index = len(self.log)
         self.log.append(self._checked(payload))
         self.sim.schedule_in(self.latency, lambda: self._deliver(index), label="tob")
@@ -96,7 +101,10 @@ class TotalOrderBroadcast:
         self.delivered = index + 1
         if payload[0] == "tob_observed":
             _, config, observer = payload
-            self.observed.setdefault(config, set()).add(observer)
+            observers = self.observed.setdefault(config, set())
+            if observer in observers:
+                raise InvariantViolation(f"{observer} reported configuration #{config.number} twice")
+            observers.add(observer)
             self.observations += 1
             return
         for node_id in list(self._subscribers):
@@ -125,7 +133,7 @@ class TotalOrderBroadcast:
         self._subscribers.pop(node_id, None)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReconfigRequest:
     kind: str                      # "join" | "leave" | "evict"
     node: NodeId
@@ -410,9 +418,11 @@ class BftNode:
         if self._first_seen_stored is None:
             self._first_seen_stored = number
         self._agreed_at = None
-        # a confirmed number never repeats, so each member reports it once
+        # stored numbers only increase and a node built again under an old id
+        # starts from the confirmed number, so each member reports a number
+        # once and the report needs no key
         if self.active and not self._is_byz(Behavior.SILENT):
-            self.tob.broadcast(("observed", number, self.id), ("tob_observed", stored, self.id))
+            self.tob.broadcast(None, ("tob_observed", stored, self.id))
 
     # -- checkpointing ------------------------------------------------------------------------
 

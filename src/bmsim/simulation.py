@@ -280,9 +280,14 @@ class SimulationRun:
         correct active replica with nothing pending and its latest registry
         answer less than `_t()` from `c_cur`.
 
-        `latest_registry_config` latches each replica's answer, so which
-        replicas it is asked of is part of the output: the walk stops at the
-        first replica that is not settled, after the ledger checks."""
+        `latest_registry_config` latches each replica's answer, but asking it
+        here changes no later answer: while `c_cur` stays, the threshold and
+        the members stay, observer sets only grow and configurations rank in
+        the order of their numbers, so an answer asked late equals one asked
+        after every observation, and a replica that
+        changes `c_cur` through `on_checkpoint` asks before each apply
+        anyway.  So the walk may stop at the first replica that is not
+        settled, after the ledger checks."""
         if self.ledger.pending_votes or not self.publication_confirmed():
             return False
         byzantine = self.monitor.byzantine
@@ -387,7 +392,7 @@ class SimulationRun:
         ]
         # the ledger logs each stored-config change as the contract reports it
         for event, (height, config) in zip(self.contract.update_log, self.ledger.config_log[1:]):
-            at = self.ledger.blocks[height].produced_at
+            at = self.ledger.block_times[height]
             updates.append(
                 UpdateRecord(
                     size=config.size,
@@ -410,17 +415,12 @@ class SimulationRun:
             )
 
         block_rows = []
-        for block in self.ledger.blocks:
-            for tx_id in block.tx_ids:
+        for height, tx_ids in self.ledger.block_tx_ids.items():
+            at = self.ledger.block_times[height]
+            for tx_id in tx_ids:
                 record = self.ledger.records[tx_id]
                 block_rows.append(
-                    (
-                        block.height,
-                        block.produced_at,
-                        record.tx.kind,
-                        record.receipt.gas_used,
-                        record.receipt.accepted,
-                    )
+                    (height, at, record.tx.kind, record.receipt.gas_used, record.receipt.accepted)
                 )
 
         return RunResult(

@@ -189,6 +189,25 @@ def test_correct_replicas_share_configuration_objects(monkeypatch):
     assert all(node.c_cur is replicas[0].c_cur for node in replicas)
 
 
+def test_run_keeps_only_state_it_reads():
+    # the log keys requests only, the ledger keeps transaction ids only for
+    # blocks that executed some, and per-transaction records have no
+    # instance dict
+    run = SimulationRun(growth_scenario(Policy.EVERY, 4, 30, seed=1))
+    result = run.run()
+    assert result.completed
+    tob, ledger = run.tob, run.ledger
+    requests = {(p[0].removeprefix("tob_"), p[1], p[2]) for p in tob.log if p[0] != "tob_observed"}
+    assert requests and tob._keys == requests
+    executed = {r.included_height for r in ledger.records.values() if r.receipt is not None}
+    assert set(ledger.block_tx_ids) == executed
+    head = ledger.confirmed_height + ledger.confirmation_depth
+    assert len(ledger.block_times) == head + 1
+    records = [obj for r in ledger.records.values() for obj in (r, r.tx, r.report)]
+    records += result.votes + result.joins
+    assert records and not any(hasattr(obj, "__dict__") for obj in records)
+
+
 def test_events_per_join_over_n_do_not_rise_with_size():
     # per-join work linear in n, as a count that does not vary between runs:
     # events scheduled per join, divided by n, on the `t1` growth from 4

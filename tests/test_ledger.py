@@ -38,8 +38,22 @@ def vote_tx(config, voter, at=0.0):
 
 
 def run_until_blocks(sim, ledger, n, step=10_000.0):
-    while len(ledger.blocks) <= n:
+    while len(ledger.block_times) <= n:
         sim.run(until=sim.now + step)
+
+
+def head_height(ledger):
+    return len(ledger.block_times) - 1
+
+
+def tx_ids(ledger, height):
+    """The ids of the transactions block `height` executed, in order."""
+    return ledger.block_tx_ids.get(height, [])
+
+
+def executed_ids(ledger):
+    """The ids of the executed transactions, in block order."""
+    return [t for height in range(len(ledger.block_times)) for t in tx_ids(ledger, height)]
 
 
 def test_tx_included_in_first_block_after_ready():
@@ -49,7 +63,7 @@ def test_tx_included_in_first_block_after_ready():
     run_until_blocks(sim, ledger, 20)
     assert record.included_height is not None
     assert record.included_at >= record.ready_at
-    assert ledger.blocks[record.included_height - 1].produced_at < record.ready_at
+    assert ledger.block_times[record.included_height - 1] < record.ready_at
 
 
 def test_inclusion_delay_mean_matches_target():
@@ -62,7 +76,7 @@ def test_inclusion_delay_mean_matches_target():
 def test_block_interval_mean_matches_target():
     sim, ledger = make_ledger(seed=11)
     run_until_blocks(sim, ledger, 1000)
-    times = [b.produced_at for b in ledger.blocks[:1001]]
+    times = ledger.block_times[:1001]
     intervals = [b - a for a, b in zip(times, times[1:])]
     assert abs(sum(intervals) / len(intervals) - 15.0) <= 1.0
     assert min(intervals) >= 1.0
@@ -71,7 +85,7 @@ def test_block_interval_mean_matches_target():
 def test_blocks_produced_even_when_empty():
     sim, ledger = make_ledger(seed=2)
     run_until_blocks(sim, ledger, 3)
-    assert all(b.tx_ids == [] for b in ledger.blocks[1:4])
+    assert all(tx_ids(ledger, height) == [] for height in range(1, 4))
 
 
 def test_txs_execute_in_submission_order():
@@ -81,7 +95,7 @@ def test_txs_execute_in_submission_order():
     run_until_blocks(sim, ledger, 30)
     rec1, rec2 = ledger.records[first], ledger.records[second]
     # both eventually included; only whichever executed first is accepted
-    order = [tx_id for block in ledger.blocks for tx_id in block.tx_ids]
+    order = executed_ids(ledger)
     assert order.index(first) < order.index(second) or rec1.included_height > rec2.included_height
     accepted = [r for r in (rec1, rec2) if r.receipt.accepted]
     assert len(accepted) == 1
@@ -95,7 +109,7 @@ def test_is_confirmed_boundary():
     record = ledger.records[tx_id]
     assert record.included_height is not None
     run_until_blocks(sim, ledger, record.included_height + 36, step=0.9)
-    assert ledger.head.height == record.included_height + 36
+    assert head_height(ledger) == record.included_height + 36
     assert not ledger.registration_confirmed("j1")
     run_until_blocks(sim, ledger, record.included_height + 37, step=0.9)
     assert ledger.registration_confirmed("j1")
@@ -163,16 +177,16 @@ def test_observer_confirmed_state_lags_head():
     ledger.submit_tx(vote_tx(target, "n1"))
     # block intervals are at least 1s, so sub-second steps add one block at a time
     while ledger.contract.c_cur.number == 0:
-        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+        run_until_blocks(sim, ledger, head_height(ledger) + 1, step=0.9)
     update_height = ledger.config_log[-1][0]
-    assert ledger.head.height == update_height
+    assert head_height(ledger) == update_height
     # before depth blocks on top, the confirmed state still reports genesis
     lagging_blocks = 0
-    while ledger.head.height < update_height + 5:
-        assert ledger.confirmed_height == max(0, ledger.head.height - 5)
+    while head_height(ledger) < update_height + 5:
+        assert ledger.confirmed_height == max(0, head_height(ledger) - 5)
         assert ledger.confirmed_config().number == 0
         lagging_blocks += 1
-        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+        run_until_blocks(sim, ledger, head_height(ledger) + 1, step=0.9)
     assert lagging_blocks == 5
     assert ledger.confirmed_config() == target
 
@@ -181,12 +195,12 @@ def test_registration_notifies_observers_once_at_confirmation():
     depth = 5
     sim, ledger = make_ledger(seed=4, depth=depth)
     calls = []
-    ledger.add_observer(lambda: calls.append((ledger.head.height, ledger.registration_confirmed("j1"))))
+    ledger.add_observer(lambda: calls.append((head_height(ledger), ledger.registration_confirmed("j1"))))
     tx_id = ledger.submit_tx(register_tx("j1", 100))
     ledger.submit_tx(register_tx("poor", 50))  # rejected: below the registration cost
     record = ledger.records[tx_id]
     while record.included_height is None:
-        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+        run_until_blocks(sim, ledger, head_height(ledger) + 1, step=0.9)
     included = record.included_height
     run_until_blocks(sim, ledger, included + depth + 10, step=0.9)
     assert calls == [(included + depth, True)]
@@ -202,13 +216,13 @@ def test_publication_hook_fires_once_per_storing_block():
     for voter in ("n0", "n1"):
         ledger.submit_tx(vote_tx(first, voter))
     while ledger.contract.c_cur.number == 0:
-        run_until_blocks(sim, ledger, ledger.head.height + 1, step=0.9)
+        run_until_blocks(sim, ledger, head_height(ledger) + 1, step=0.9)
     for voter in first.members:
         ledger.submit_tx(vote_tx(second, voter, at=sim.now))
-    run_until_blocks(sim, ledger, ledger.head.height + 30)
+    run_until_blocks(sim, ledger, head_height(ledger) + 30)
     assert ledger.contract.c_cur == second
     assert published == [
-        (config, ledger.blocks[height].produced_at) for height, config in ledger.config_log[1:]
+        (config, ledger.block_times[height]) for height, config in ledger.config_log[1:]
     ]
     assert [config for config, _ in published] == [first, second]
 
@@ -226,7 +240,7 @@ def test_replayed_state_equals_incremental():
 
         replay = RegistryContract(genesis(), cost=100)
         # executed transactions in block order
-        for tx in [ledger.records[t].tx for block in ledger.blocks for t in block.tx_ids]:
+        for tx in [ledger.records[t].tx for t in executed_ids(ledger)]:
             if tx.kind == "register":
                 replay.apply_register(tx.node, tx.fee)
             else:

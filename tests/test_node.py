@@ -43,7 +43,7 @@ class Harness:
 
     def observe(self, config, observer):
         """Order and deliver `observer`'s report that `config` is stored."""
-        self.tob.broadcast(("observed", config.key(), observer), ("tob_observed", config, observer))
+        self.tob.broadcast(None, ("tob_observed", config, observer))
         self.sim.run(until=self.sim.now + self.tob.latency)
 
     def order(self, kind, node, evidence, attempt=1):
@@ -149,6 +149,16 @@ def test_observation_quorum_examples():
     assert node.latest_registry_config().number == 0
     h.observe(c1, "n2")
     assert node.latest_registry_config().number == 1
+
+
+def test_repeated_observation_report_is_a_violation():
+    # reports carry no key: a member reports each stored number once, and
+    # the log checks that as it applies the report
+    h = Harness()
+    c1 = Configuration(1, genesis().members + ("j1",))
+    h.observe(c1, "n1")
+    with pytest.raises(InvariantViolation, match="n1 reported configuration #1 twice"):
+        h.observe(c1, "n1")
 
 
 def test_higher_number_without_quorum_not_latest():
@@ -378,6 +388,49 @@ def test_own_confirmed_observation_counts_toward_the_quorum(monkeypatch):
     assert h.nodes["n0"].latest_registry_config() is target
     assert late.latest_registry_config() is target
     assert h.nodes["n1"].latest_registry_config() is h.genesis
+
+
+def test_when_a_replica_is_asked_does_not_change_its_answer(monkeypatch):
+    """While `c_cur` stays, the threshold and the members stay and observer
+    sets only grow, so a replica asked after every observation ends with the
+    answer and rank of one asked only at the end.  f = 2, so a configuration
+    needs three reports; the asked replica n0 saw configuration 1 confirmed,
+    so its own observation counts for each configuration it has not
+    reported.  Reports come in the order of their numbers, as confirmations
+    do."""
+    c1 = Configuration(1, genesis(7).members + ("j1",))
+    c2 = Configuration(2, c1.members + ("j2",))
+    c3 = Configuration(3, c2.members + ("j3",))
+    reports = [
+        (c1, "n0"), (c2, "n2"), (c1, "n2"),
+        (c1, "n3"),    # three reports, n0's among them: no own-observation term
+        (c2, "n3"),    # two reports and n0's own observation
+        (c3, "n4"), (c1, "n4"),
+    ]
+
+    def replay(ask_each):
+        h = Harness(n=7)
+        for voter in ("n0", "n1", "n2"):
+            h.ledger.submit_tx(
+                LedgerTransaction(kind="vote", submitter=voter, submitted_at=0.0, config=c1)
+            )
+        with monkeypatch.context() as patched:
+            patched.setattr(h.tob, "broadcast", lambda key, payload: False)   # no report is ordered
+            h.ledger.start()
+            h.sim.run(until=1500.0)
+        node = h.nodes["n0"]
+        assert node._first_seen_stored == 1 and node.c_cur is h.genesis
+        answers = []
+        for config, observer in reports:
+            h.observe(config, observer)
+            if ask_each:
+                answers.append(node.latest_registry_config())
+        return answers, node.latest_registry_config(), node._agreed_rank
+
+    answers, eager, eager_rank = replay(ask_each=True)
+    assert answers == [genesis(7)] * 3 + [c1, c2, c2, c2]
+    _, lazy, lazy_rank = replay(ask_each=False)
+    assert (eager, eager_rank) == (lazy, lazy_rank) == (c2, 1)
 
 
 def test_monitor_rejects_checkpoint_latency_beyond_interval():

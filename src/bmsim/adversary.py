@@ -6,7 +6,8 @@ its members may misbehave.  Members of long-retired configurations may be
 corrupted without limit, which is what the long-range attack exploits.
 `ScenarioConfig.validate` checks the budget of every configuration a
 scenario's churn passes through before any event runs; the controller checks
-it again at each activation against the configurations actually published.
+it again at each activation against the configurations the ledger actually
+stored, read from `Ledger.config_log`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from bmsim.errors import ScenarioValidationError
+from bmsim.ledger import Ledger
 from bmsim.membership import Configuration, NodeId, max_faults
 from bmsim.node import Behavior, BftNode
 
@@ -47,14 +49,14 @@ class AdversaryController:
         # behaviors of activated joiners whose node is not built yet
         self._deferred: dict[NodeId, tuple[Behavior, ...]] = {}
         self._pending_retirement: list[CorruptionEntry] = []
-        self._publications: list[tuple[float, Configuration]] = []
+        self.ledger: Ledger | None = None
         self.all_activated_at: float | None = None
 
-    def setup(self, entries: list[CorruptionEntry], nodes: dict[NodeId, BftNode], genesis: Configuration) -> None:
+    def setup(self, entries: list[CorruptionEntry], nodes: dict[NodeId, BftNode], ledger: Ledger) -> None:
         self.entries = list(entries)
         self.nodes = nodes
+        self.ledger = ledger
         self.forged_payload = b"forged-state:" + str(self.sim.seed).encode()
-        self._publications.append((0.0, genesis))
         self.monitor.forged_payload = self.forged_payload
         for entry in self.entries:
             if entry.at_time is not None:
@@ -64,11 +66,9 @@ class AdversaryController:
 
     def on_publication(self, config: Configuration, at: float) -> None:
         """Called whenever the registry stores a new configuration."""
-        self._publications.append((at, config))
-        members = set(config.members)
         still_pending = []
         for entry in self._pending_retirement:
-            if entry.node not in members and self._was_member_before(entry.node, config.number):
+            if entry.node not in config.member_set and self._was_member_before(entry.node, config.number):
                 self.sim.schedule(
                     at + self.grace_p + 1.0,
                     lambda e=entry: self._activate(e),
@@ -79,8 +79,8 @@ class AdversaryController:
         self._pending_retirement = still_pending
 
     def _was_member_before(self, node: NodeId, number: int) -> bool:
-        for _, config in self._publications:
-            if config.number < number and node in config.members:
+        for _, config in self.ledger.config_log:
+            if config.number < number and node in config.member_set:
                 return True
         return False
 
@@ -110,13 +110,13 @@ class AdversaryController:
             return
         now = self.sim.now
         active = self._activated | {entry.node}
-        recent = [
-            (at, config)
-            for at, config in self._publications
-            if now - at < self.grace_p or (at, config) == self._publications[-1]
-        ]
-        for at, config in recent:
-            bad = active & set(config.members)
+        log = self.ledger.config_log
+        for height, config in log:
+            at = self.ledger.block_times[height]
+            # the latest configuration is checked however long ago it was stored
+            if now - at >= self.grace_p and config is not log[-1][1]:
+                continue
+            bad = active & config.member_set
             f = max_faults(config.size)
             if len(bad) > f:
                 raise ScenarioValidationError(

@@ -43,7 +43,6 @@ class ClusterClient:
 
         self.cached_config: Configuration | None = None
         self.cached_at: float | None = None
-        self._published_at_refresh: int | None = None
         self._request_ids = itertools.count(1)
         self._inflight: dict[int, dict[bytes, dict[NodeId, None]]] = {}
 
@@ -54,7 +53,6 @@ class ClusterClient:
     def bootstrap(self) -> Configuration:
         self.cached_config = self.ledger.confirmed_config()
         self.cached_at = self.sim.now
-        self._published_at_refresh = self.cached_config.number
         return self.cached_config
 
     def _refresh_if_stale(self) -> None:
@@ -113,6 +111,8 @@ class ClusterClient:
                 payload=payload,
                 signers=tuple(sorted(bucket)),
                 config_number=self.cached_config.number,
-                with_registry=self.mode is ClientMode.WITH_REGISTRY,
-                published_number_at_refresh=self._published_at_refresh,
+                view_age=self.sim.now - self.cached_at,
+                max_view_age=(
+                    self.p_bound + self.RETRY if self.mode is ClientMode.WITH_REGISTRY else None
+                ),
             )

@@ -9,7 +9,7 @@ and dust remains in the contract balance, which keeps conservation exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from bmsim.errors import InvariantViolation
 from bmsim.membership import Configuration, NodeId
@@ -36,7 +36,6 @@ class UpdateEvent:
     old: Configuration
     new: Configuration
     voters: tuple[NodeId, ...]
-    reward_per_voter: int
     members_added: int
     members_removed: int
 
@@ -45,14 +44,12 @@ class UpdateEvent:
 class ExecutionReport:
     """What a transaction did, for gas metering and metrics."""
 
-    kind: str                       # "register" | "vote"
     accepted: bool
     duplicate_vote: bool = False
     first_vote: bool = False
     scanned_members: int = 0        # stored-config size at the membership check
-    proposed_size: int = 0
-    proposed_number: int = 0
-    updates: list[UpdateEvent] = field(default_factory=list)
+    # the stored-configuration changes the vote made, in execution order
+    updates: tuple[UpdateEvent, ...] = ()
 
     @property
     def triggered_update(self) -> bool:
@@ -72,7 +69,6 @@ class RegistryContract:
         self.total_collected = 0
         self.total_paid = 0
         self.rewards: dict[NodeId, int] = {}
-        self.update_log: list[UpdateEvent] = []
 
     # -- reads ---------------------------------------------------------------
 
@@ -95,7 +91,7 @@ class RegistryContract:
     # -- transactions ---------------------------------------------------------
 
     def apply_register(self, node: NodeId, fee: int) -> ExecutionReport:
-        report = ExecutionReport(kind="register", accepted=False)
+        report = ExecutionReport(accepted=False)
         if fee < self.cost:
             return report
         if self.active_registration(node) is not None:
@@ -107,13 +103,7 @@ class RegistryContract:
         return report
 
     def apply_vote(self, config: Configuration, voter: NodeId) -> ExecutionReport:
-        report = ExecutionReport(
-            kind="vote",
-            accepted=False,
-            scanned_members=self.c_cur.size,
-            proposed_size=config.size,
-            proposed_number=config.number,
-        )
+        report = ExecutionReport(accepted=False, scanned_members=self.c_cur.size)
         if voter not in self.c_cur.members:
             return report
         if config.number <= self.c_cur.number:
@@ -136,7 +126,7 @@ class RegistryContract:
         members = self.c_cur.member_set
         return [p for p in self._votes[config] if p in members]
 
-    def _try_update(self) -> list[UpdateEvent]:
+    def _try_update(self) -> tuple[UpdateEvent, ...]:
         events = []
         while True:
             candidates = []
@@ -147,7 +137,7 @@ class RegistryContract:
                 if counted and len(counted) >= self.c_cur.v:
                     candidates.append((config, counted))
             if not candidates:
-                return events
+                return tuple(events)
             config, counted = max(
                 candidates, key=lambda c: (c[0].number, tuple(reversed(c[0].members)))
             )
@@ -177,17 +167,14 @@ class RegistryContract:
         if self.c_cur.number <= old.number:
             raise InvariantViolation("configuration number did not increase")
         self._gc_votes(self.c_cur.number)
-        event = UpdateEvent(
+        self.check_conservation()
+        return UpdateEvent(
             old=old,
             new=self.c_cur,
             voters=tuple(counted),
-            reward_per_voter=share,
             members_added=len(joining),
             members_removed=len(leaving),
         )
-        self.update_log.append(event)
-        self.check_conservation()
-        return event
 
     def _gc_votes(self, up_to_number: int) -> None:
         stale = [config for config in self._votes if config.number <= up_to_number]

@@ -11,9 +11,10 @@ executed, if any.
 
 from __future__ import annotations
 
-import bisect
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from bmsim.contract import ExecutionReport, RegistryContract
@@ -72,7 +73,6 @@ class LedgerTransaction:
     kind: str                    # "register" | "vote"
     submitter: NodeId
     submitted_at: float
-    attached_funds: int = 0
     node: NodeId | None = None          # register
     fee: int = 0                        # register
     config: Configuration | None = None  # vote
@@ -81,8 +81,6 @@ class LedgerTransaction:
 @dataclass(slots=True)
 class TxReceipt:
     gas_used: int
-    included_height: int
-    accepted: bool
 
 
 @dataclass(slots=True)
@@ -92,7 +90,6 @@ class TxRecord:
     ready_at: float
     inclusion_delay: float
     included_height: int | None = None
-    included_at: float | None = None
     receipt: TxReceipt | None = None
     report: ExecutionReport | None = None
 
@@ -129,9 +126,9 @@ class Ledger:
         self._pending: list[int] = []
         self.pending_votes = 0     # vote transactions submitted, not yet executed
         self._tx_ids = itertools.count(1)
-        # (height, config) for every stored-configuration change, genesis first
+        # (height, config) for every stored-configuration change, genesis
+        # first, in execution order: the one history of stored configurations
         self.config_log: list[tuple[int, Configuration]] = [(0, contract.c_cur)]
-        self._config_heights: list[int] = [0]
         self._registration_heights: dict[NodeId, int] = {}
         # heights of blocks that stored a configuration or accepted a registration
         self._change_heights: set[int] = set()
@@ -203,22 +200,19 @@ class Ledger:
             report = self.contract.apply_vote(tx.config, tx.submitter)
             for event in report.updates:
                 self.config_log.append((height, event.new))
-                self._config_heights.append(height)
                 self._change_heights.add(height)
         else:
             raise InvalidInputError(f"unknown transaction kind {tx.kind!r}")
-        gas = self._meter(report)
         record.report = report
-        record.receipt = TxReceipt(gas_used=gas, included_height=height, accepted=report.accepted)
+        record.receipt = TxReceipt(self._meter(tx.kind, report))
         record.included_height = height
-        record.included_at = self.sim.now
         self.block_tx_ids.setdefault(height, []).append(record.tx_id)
 
-    def _meter(self, report: ExecutionReport) -> int:
+    def _meter(self, kind: str, report: ExecutionReport) -> int:
         g = self.gas
         if not report.accepted:
             return g.g_base
-        if report.kind == "register":
+        if kind == "register":
             return g.g_register
         gas = g.g_base + g.g_vote_store + g.g_vote_per_member * report.scanned_members
         if report.first_vote:
@@ -231,14 +225,11 @@ class Ledger:
 
     # -- queries ------------------------------------------------------------------
 
-    def stored_config_at(self, height: int) -> Configuration:
-        idx = bisect.bisect_right(self._config_heights, height) - 1
-        return self.config_log[max(idx, 0)][1]
-
     def confirmed_config(self) -> Configuration:
         """The stored configuration as of the confirmed height; genesis is
         public knowledge and confirmed from the start."""
-        return self.stored_config_at(self.confirmed_height)
+        index = bisect_right(self.config_log, self.confirmed_height, key=itemgetter(0))
+        return self.config_log[index - 1][1]
 
     def registration_confirmed(self, node: NodeId) -> bool:
         height = self._registration_heights.get(node)

@@ -49,8 +49,6 @@ class VoteRecord:
     gas_used: int
     is_first_vote: bool
     is_update_vote: bool
-    accepted: bool
-    config_key: tuple
 
 
 @dataclass
@@ -102,8 +100,7 @@ class RunMonitor:
         self.completed_joins: list[JoinRecord] = []
         self.client_outcomes: list[ClientOutcome] = []
 
-        self._ordered: dict[tuple, float] = {}
-        self._config_table: dict[int, tuple] = {}
+        self._config_table: dict[int, Configuration] = {}
         self._node_chain_pos: dict[NodeId, int] = {}
 
     # -- bookkeeping -----------------------------------------------------------
@@ -128,11 +125,9 @@ class RunMonitor:
             self.joins[node].request_sent_at = at
 
     def request_ordered(self, key: tuple, at: float, by: NodeId) -> None:
-        if key not in self._ordered:
-            self._ordered[key] = at
-            kind, node, _ = key
-            if kind == "join" and node in self.joins:
-                self.joins[node].ordered_at = at
+        kind, node, _ = key
+        if kind == "join" and node in self.joins and self.joins[node].ordered_at == 0.0:
+            self.joins[node].ordered_at = at
 
     def join_admitted(self, node: NodeId, at: float) -> None:
         record = self.joins.get(node)
@@ -148,14 +143,11 @@ class RunMonitor:
         self.note(f"{node} -> config {config.number} ({len(config.members)})")
         if node in self.byzantine:
             return
-        key = (tuple(config.members),)
-        seen = self._config_table.get(config.number)
-        if seen is None:
-            self._config_table[config.number] = key
-        elif seen != key:
+        seen = self._config_table.setdefault(config.number, config)
+        if seen is not config:
             raise InvariantViolation(
                 f"configuration agreement broken at number {config.number}: "
-                f"{seen} vs {key} (node {node})"
+                f"{seen.members} vs {config.members} (node {node})"
             )
         pos = self._node_chain_pos.get(node, -1)
         if config.number <= pos:
@@ -196,19 +188,22 @@ class RunMonitor:
         payload: bytes,
         signers: tuple[NodeId, ...],
         config_number: int,
-        with_registry: bool,
-        published_number_at_refresh: int | None,
+        view_age: float,
+        max_view_age: float | None,
     ) -> None:
+        """`view_age` is how long ago the client read its configuration from
+        the registry; `max_view_age`, when given, is the staleness bound the
+        client enforces: it re-reads a view older than its bound at each
+        request and retry, so a view may age one retry interval past it."""
         forged = self.forged_payload is not None and payload == self.forged_payload
         self.client_outcomes.append(
             ClientOutcome(request_id, at, payload, signers, config_number, forged)
         )
-        if with_registry and published_number_at_refresh is not None:
-            if config_number < published_number_at_refresh:
-                raise InvariantViolation(
-                    f"client accepted quorum from configuration {config_number} older "
-                    f"than published {published_number_at_refresh}"
-                )
+        if max_view_age is not None and view_age > max_view_age:
+            raise InvariantViolation(
+                f"client accepted quorum from configuration {config_number} read "
+                f"{view_age:.3f}s ago, beyond its staleness bound of {max_view_age:.3f}s"
+            )
 
 
 # ---------------------------------------------------------------------------

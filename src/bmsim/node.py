@@ -418,9 +418,9 @@ class BftNode:
         if self._first_seen_stored is None:
             self._first_seen_stored = number
         self._agreed_at = None
-        # stored numbers only increase and a node built again under an old id
-        # starts from the confirmed number, so each member reports a number
-        # once and the report needs no key
+        # stored numbers only increase and a scenario never reuses a node id
+        # (`ScenarioConfig.validate` rejects a rejoin), so each member reports
+        # a number once and the report needs no key
         if self.active and not self._is_byz(Behavior.SILENT):
             self.tob.broadcast(None, ("tob_observed", stored, self.id))
 
@@ -553,7 +553,6 @@ class JoinerAgent:
             kind="register",
             submitter=node_id,
             submitted_at=self.sim.now,
-            attached_funds=fee,
             node=node_id,
             fee=fee,
         )

@@ -130,6 +130,8 @@ class ScenarioConfig:
                 raise ScenarioValidationError(section, str(exc)) from None
 
         members = set(self.initial_members())
+        # every id that has been a member; ids are never reused
+        declared = set(members)
         # timed corruption entries per node, and how many the members carry
         per_node = Counter(entry.node for entry in self.corruption if entry.at_time is not None)
         timed = sum(count for node, count in per_node.items() if node in members)
@@ -139,7 +141,12 @@ class ScenarioConfig:
             if op.op == "join":
                 if op.node in members:
                     raise ScenarioValidationError(label, f"{op.node} is already a member")
+                if op.node in declared:
+                    raise ScenarioValidationError(
+                        label, f"{op.node} was a member earlier; a node id cannot join again"
+                    )
                 members.add(op.node)
+                declared.add(op.node)
                 timed += per_node[op.node]
             else:
                 if op.node not in members:
@@ -155,7 +162,6 @@ class ScenarioConfig:
                 timed -= per_node[op.node]
             self._check_configuration(i + 1, members, timed)
 
-        declared = set(self.initial_members()) | {op.node for op in self.churn if op.op == "join"}
         for i, entry in enumerate(self.corruption):
             label = f"corruption[{i}]"
             if entry.node not in declared:

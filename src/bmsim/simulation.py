@@ -208,7 +208,7 @@ class SimulationRun:
         self.adversary = AdversaryController(
             self.sim, self.monitor, grace_p=scenario.grace_p(), bypass=scenario.bypass_validation
         )
-        self.adversary.setup(scenario.corruption, self.nodes, genesis)
+        self.adversary.setup(scenario.corruption, self.nodes, self.ledger)
         self.ledger.add_publication_hook(self.adversary.on_publication)
 
         self.client: ClusterClient | None = None
@@ -362,23 +362,21 @@ class SimulationRun:
     def _collect(self, completed: bool) -> RunResult:
         joins = sorted(self.monitor.completed_joins, key=lambda r: r.processed_at)
         votes = []
-        gas_by_key: dict[tuple, int] = {}
+        # accepted vote gas by the interned configuration voted for
+        gas_by_config: dict[Configuration, int] = {}
         for record in self.ledger.vote_records():
-            report = record.report
-            key = record.tx.config.key()
+            config, report, gas = record.tx.config, record.report, record.receipt.gas_used
             votes.append(
                 VoteRecord(
-                    size=report.proposed_size,
-                    config_number=report.proposed_number,
-                    gas_used=record.receipt.gas_used,
+                    size=config.size,
+                    config_number=config.number,
+                    gas_used=gas,
                     is_first_vote=report.first_vote,
                     is_update_vote=report.triggered_update,
-                    accepted=report.accepted,
-                    config_key=key,
                 )
             )
             if report.accepted:
-                gas_by_key[key] = gas_by_key.get(key, 0) + record.receipt.gas_used
+                gas_by_config[config] = gas_by_config.get(config, 0) + gas
 
         updates = []
         configs = [
@@ -390,38 +388,39 @@ class SimulationRun:
                 members=self.genesis.members,
             )
         ]
-        # the ledger logs each stored-config change as the contract reports it
-        for event, (height, config) in zip(self.contract.update_log, self.ledger.config_log[1:]):
-            at = self.ledger.block_times[height]
-            updates.append(
-                UpdateRecord(
-                    size=config.size,
-                    joiners=event.members_added,
-                    leavers=event.members_removed,
-                    total_gas=gas_by_key.get(config.key(), 0),
-                    number=config.number,
-                    height=height,
-                    time=at,
-                )
-            )
-            configs.append(
-                ConfigRecord(
-                    number=config.number,
-                    size=config.size,
-                    height=height,
-                    time=at,
-                    members=config.members,
-                )
-            )
-
         block_rows = []
+        # blocks in height order and their transactions in execution order,
+        # which is also the order of `Ledger.config_log`
         for height, tx_ids in self.ledger.block_tx_ids.items():
             at = self.ledger.block_times[height]
             for tx_id in tx_ids:
                 record = self.ledger.records[tx_id]
+                report = record.report
                 block_rows.append(
-                    (height, at, record.tx.kind, record.receipt.gas_used, record.receipt.accepted)
+                    (height, at, record.tx.kind, record.receipt.gas_used, report.accepted)
                 )
+                for event in report.updates:
+                    config = event.new
+                    updates.append(
+                        UpdateRecord(
+                            size=config.size,
+                            joiners=event.members_added,
+                            leavers=event.members_removed,
+                            total_gas=gas_by_config.get(config, 0),
+                            number=config.number,
+                            height=height,
+                            time=at,
+                        )
+                    )
+                    configs.append(
+                        ConfigRecord(
+                            number=config.number,
+                            size=config.size,
+                            height=height,
+                            time=at,
+                            members=config.members,
+                        )
+                    )
 
         return RunResult(
             scenario_name=self.scenario.name,

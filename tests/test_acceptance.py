@@ -162,7 +162,7 @@ def test_acceptance_7_gas_shape_halff(t1_sweep, halff_sweep):
         u.size: next(
             v.gas_used
             for v in halff_sweep.votes
-            if v.is_update_vote and v.config_key[0] == u.number
+            if v.is_update_vote and v.config_number == u.number
         )
         for u in halff_sweep.updates
     }

@@ -2,11 +2,16 @@
 
 import pytest
 
-from bmsim.adversary import CorruptionEntry
-from bmsim.errors import ScenarioValidationError
+from bmsim.adversary import AdversaryController, CorruptionEntry
+from bmsim.contract import RegistryContract
+from bmsim.errors import InvariantViolation, ScenarioValidationError
+from bmsim.ledger import Ledger, LedgerTransaction
+from bmsim.membership import Configuration
+from bmsim.metrics import RunMonitor
 from bmsim.node import Behavior
 from bmsim.scenario import ChurnOp, ScenarioConfig, long_range_scenario
-from bmsim.simulation import run_scenario
+from bmsim.simcore import SimulationCore
+from bmsim.simulation import SimulationRun, run_scenario
 
 
 def entry(node, at_time=None, retired=False):
@@ -68,6 +73,45 @@ def test_budget_counts_timed_joiners_and_leavers_per_configuration():
     scheduled(entries, [churn[0], churn[2], churn[1], churn[3]]).validate()
 
 
+def stored_chain():
+    """A ledger that stores #1 = (g0, g1, n0, n1) over genesis (g0..g3), then
+    #2 = (g0..g3) again, so n0 and n1 are members of #1 only.  Returns the
+    engine, the ledger and the times #1 and #2 were stored."""
+    sim = SimulationCore(seed=1)
+    genesis = Configuration(0, ("g0", "g1", "g2", "g3"))
+    ledger = Ledger(sim, RegistryContract(genesis))
+    ledger.start()
+    for config in (Configuration(1, ("g0", "g1", "n0", "n1")), Configuration(2, genesis.members)):
+        for voter in ("g0", "g1"):
+            ledger.submit_tx(LedgerTransaction("vote", voter, sim.now, config=config))
+        while ledger.config_log[-1][1] is not config:
+            sim.run(until=sim.now + 1.0)
+    t1, t2 = (ledger.block_times[height] for height, _ in ledger.config_log[1:])
+    return sim, ledger, t1, t2
+
+
+def corrupt_n0_n1(sim, ledger, grace_p, at):
+    """Activate n0 and n1 at time `at` under the grace period `grace_p`."""
+    controller = AdversaryController(sim, RunMonitor(sim), grace_p=grace_p)
+    controller.setup([entry("n0", at_time=at), entry("n1", at_time=at)], {}, ledger)
+    sim.run(until=at + 1.0)
+    return controller
+
+
+def test_runtime_budget_counts_configurations_stored_within_the_grace_period():
+    sim, ledger, t1, t2 = stored_chain()
+    with pytest.raises(ScenarioValidationError) as err:
+        corrupt_n0_n1(sim, ledger, grace_p=t2 - t1 + 10.0, at=t2 + 1.0)
+    assert err.value.field == "corruption"
+    assert "configuration #1 " in str(err.value)
+
+
+def test_runtime_budget_skips_retired_configurations_past_the_grace_period():
+    sim, ledger, t1, t2 = stored_chain()
+    controller = corrupt_n0_n1(sim, ledger, grace_p=(t2 - t1) / 2, at=t2 + 1.0)
+    assert controller.all_activated_at == t2 + 1.0
+
+
 # -- long-range scenario generation -------------------------------------------------
 
 
@@ -117,3 +161,12 @@ def test_partial_turnover_below_quorum_still_safe():
     assert result.completed
     assert result.forged_accepted == 0
     assert result.honest_accepted == 1
+
+
+def test_with_registry_client_never_accepts_beyond_its_staleness_bound():
+    # without the refresh the client keeps its genesis view through the full
+    # turnover and accepts the retired members' forged quorum
+    run = SimulationRun(long_range_scenario(mode="with_bms", seed=1))
+    run.client._refresh_if_stale = lambda: None
+    with pytest.raises(InvariantViolation, match="beyond its staleness bound"):
+        run.run()

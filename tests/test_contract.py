@@ -129,8 +129,7 @@ def test_update_safety_voters_are_prior_members():
     c = RegistryContract(genesis(), cost=100)
     target = grown(genesis(), "j1")
     c.apply_vote(target, "n0")
-    c.apply_vote(target, "n1")
-    event = c.update_log[-1]
+    event = c.apply_vote(target, "n1").updates[-1]
     assert set(event.voters) <= set(event.old.members)
     assert len(event.voters) >= event.old.v
 

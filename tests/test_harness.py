@@ -428,6 +428,24 @@ def test_cli_malformed_scenario_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "churn, field",
+    [
+        ([{"op": "join", "node": "m0"}, {"op": "leave", "node": "m0"}, {"op": "join", "node": "m0"}],
+         "churn[2]"),
+        ([{"op": "leave", "node": "n3"}, {"op": "join", "node": "n3"}], "churn[1]"),
+    ],
+    ids=["returning_joiner", "returning_initial_member"],
+)
+def test_cli_rejects_a_join_of_a_former_member(churn, field, tmp_path, capsys):
+    scenario_path = tmp_path / "rejoin.json"
+    scenario_path.write_text(json.dumps(small_scenario_dict(seed=3, churn=churn)))
+    out = tmp_path / "o"
+    assert main(["run", str(scenario_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"scenario error: {field}: ")
+    assert not out.exists()
+
+
 def test_cli_runaway_scenario_exits_2_with_recent_events(tmp_path):
     scenario_path = tmp_path / "runaway.json"
     scenario_path.write_text(json.dumps(small_scenario_dict(checkpoint_interval=1e-6)))

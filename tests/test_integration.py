@@ -57,7 +57,7 @@ def test_leave_update_applies_storage_refund():
     assert shrinking
     for update in shrinking:
         update_votes = [
-            v for v in result.votes if v.is_update_vote and v.config_key[0] == update.number
+            v for v in result.votes if v.is_update_vote and v.config_number == update.number
         ]
         assert len(update_votes) == 1
         scanned = update.size + 1  # membership check ran against the pre-update set

@@ -29,7 +29,7 @@ def make_ledger(seed=1, depth=37):
 
 def register_tx(node, fee, at=0.0):
     return LedgerTransaction(
-        kind="register", submitter=node, submitted_at=at, attached_funds=fee, node=node, fee=fee
+        kind="register", submitter=node, submitted_at=at, node=node, fee=fee
     )
 
 
@@ -62,7 +62,7 @@ def test_tx_included_in_first_block_after_ready():
     record = ledger.records[tx_id]
     run_until_blocks(sim, ledger, 20)
     assert record.included_height is not None
-    assert record.included_at >= record.ready_at
+    assert ledger.block_times[record.included_height] >= record.ready_at
     assert ledger.block_times[record.included_height - 1] < record.ready_at
 
 
@@ -97,7 +97,7 @@ def test_txs_execute_in_submission_order():
     # both eventually included; only whichever executed first is accepted
     order = executed_ids(ledger)
     assert order.index(first) < order.index(second) or rec1.included_height > rec2.included_height
-    accepted = [r for r in (rec1, rec2) if r.receipt.accepted]
+    accepted = [r for r in (rec1, rec2) if r.report.accepted]
     assert len(accepted) == 1
 
 

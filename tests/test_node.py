@@ -295,7 +295,6 @@ def test_backup_cancelled_after_publication_observed():
     h.contract.apply_vote(target, "n0")
     h.contract.apply_vote(target, "n1")
     h.ledger.config_log.append((0, h.contract.c_cur))
-    h.ledger._config_heights.append(0)
     h.sim.run(until=node.params.revote_timeout + 5.0)
     votes = [r for r in h.ledger.records.values() if r.tx.kind == "vote"]
     assert node.id not in {r.tx.submitter for r in votes}

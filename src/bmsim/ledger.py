@@ -12,9 +12,7 @@ executed, if any.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 from bmsim.contract import ExecutionReport, RegistryContract
@@ -129,6 +127,9 @@ class Ledger:
         # (height, config) for every stored-configuration change, genesis
         # first, in execution order: the one history of stored configurations
         self.config_log: list[tuple[int, Configuration]] = [(0, contract.c_cur)]
+        # the stored configuration as of the confirmed height; genesis is
+        # public knowledge and confirmed from the start
+        self._confirmed_config = contract.c_cur
         self._registration_heights: dict[NodeId, int] = {}
         # heights of blocks that stored a configuration or accepted a registration
         self._change_heights: set[int] = set()
@@ -180,7 +181,10 @@ class Ledger:
         if len(self.config_log) > stored_before:
             for hook in self._publication_hooks:
                 hook(self.contract.c_cur, self.sim.now)
-        if height - self.confirmation_depth in self._change_heights:
+        confirmed = self.confirmed_height   # no change is stored at height 0
+        if confirmed in self._change_heights:
+            # the last configuration stored at or below the confirmed height
+            self._confirmed_config = next(c for h, c in reversed(self.config_log) if h <= confirmed)
             for callback in self._observers:
                 callback()
         if votes_before and not self.pending_votes:
@@ -226,10 +230,7 @@ class Ledger:
     # -- queries ------------------------------------------------------------------
 
     def confirmed_config(self) -> Configuration:
-        """The stored configuration as of the confirmed height; genesis is
-        public knowledge and confirmed from the start."""
-        index = bisect_right(self.config_log, self.confirmed_height, key=itemgetter(0))
-        return self.config_log[index - 1][1]
+        return self._confirmed_config
 
     def registration_confirmed(self, node: NodeId) -> bool:
         height = self._registration_heights.get(node)

@@ -40,6 +40,15 @@ class Behavior(enum.Enum):
     STALE_QUORUM = "stale_quorum"
 
 
+@dataclass(slots=True, eq=False)
+class Answer:
+    """`BftNode.latest_registry_config`'s answer, its rank in the observation
+    table (None: genesis) and the observation count it was computed at."""
+    config: Configuration
+    rank: int | None = None
+    at: int | None = None
+
+
 class TotalOrderBroadcast:
     """Idealized total-order broadcast with constant delivery latency.
 
@@ -65,8 +74,10 @@ class TotalOrderBroadcast:
         # order of first reports (a configuration's rank)
         self.observed: dict[Configuration, set[NodeId]] = {}
         self.observations = 0      # `tob_observed` entries applied
-        # node_id -> (callback, first index it participates from)
-        self._subscribers: dict[NodeId, tuple[Callable[[int, tuple], None], int]] = {}
+        # (configuration held, frozen log position or None) -> the registry
+        # answer of every replica with those inputs
+        self.answers: dict[tuple, Answer] = {}
+        self._subscribers: dict[NodeId, Callable[[int, tuple], None]] = {}
 
     def broadcast(self, key, payload: tuple) -> bool:
         """Append `payload` unless a request with `key` is in the log already.
@@ -107,10 +118,10 @@ class TotalOrderBroadcast:
             observers.add(observer)
             self.observations += 1
             return
-        for node_id in list(self._subscribers):
-            callback, start = self._subscribers.get(node_id, (None, 0))
-            if callback is not None and index >= start:
-                callback(index, payload)
+        # no delivery subscribes or unsubscribes, and every subscriber
+        # started at or below this index
+        for callback in self._subscribers.values():
+            callback(index, payload)
 
     def observed_at(self, position: int) -> dict[Configuration, set[NodeId]]:
         """The observation table as it stood after `position` deliveries."""
@@ -122,8 +133,16 @@ class TotalOrderBroadcast:
                 table.setdefault(payload[1], set()).add(payload[2])
         return table
 
+    def answer(self, config: Configuration, frozen_at: int | None, floor: Answer) -> Answer:
+        """The registry answer of the replicas holding `config` at log position
+        `frozen_at` (None: the end).  Those inputs fix it: while a replica holds
+        `config`, when it asks does not change its answer, and `on_checkpoint`
+        asks before each apply.  A new one starts from `floor`, the answer its
+        first holder held."""
+        return self.answers.setdefault((config, frozen_at), Answer(floor.config, floor.rank))
+
     def subscribe(self, node_id: NodeId, callback: Callable[[int, tuple], None], start: int = 0) -> None:
-        self._subscribers[node_id] = (callback, start)
+        self._subscribers[node_id] = callback
         # replay already-delivered requests the newcomer has not applied yet
         for index in range(start, self.delivered):
             if self.log[index][0] != "tob_observed":
@@ -178,13 +197,6 @@ class BftNode:
         self.c_cur = genesis
         self.c_last_voted = genesis
         self.pending: deque[ReconfigRequest] = deque()
-        # A checkpoint's `maybe_vote` leaves `c_last_voted` equal to `c_cur`
-        # or less than `_t()` from it, and only applying a pending request or
-        # `adopt` can change that.  So until `adopt` sets this flag again, a
-        # checkpoint with nothing pending changes nothing and the run skips it.
-        # `_enqueue` and `adopt`, the only ways a replica becomes due, call
-        # `on_due`, so the run need not look for due replicas otherwise.
-        self.vote_check_due = True
         self.app_state: bytes = b"app:0"
         self.active = False
         self.retired = False
@@ -197,16 +209,8 @@ class BftNode:
         self._announce_waiting: dict[NodeId, None] = {}
         # stored numbers only increase, so a number names a stored configuration
         self._last_seen_stored_key: int = genesis.number
-        # the first stored number this replica saw confirmed (None: none yet);
-        # the ledger observer is never removed and fires at each change of the
-        # confirmed state, so it has seen every stored number from that one on
-        self._first_seen_stored: int | None = None
-        # the last answer of `latest_registry_config`, its rank in the log's
-        # table (None: genesis) and the count of applied observations it was
-        # computed at (None: recompute)
-        self._agreed = genesis
-        self._agreed_rank: int | None = None
-        self._agreed_at: int | None = None
+        # the registry answer, private until `activate` takes the log's entry
+        self._answer = Answer(genesis)
         # the log position a `drop_messages` replica stopped applying at
         self._frozen_at: int | None = None
 
@@ -219,6 +223,7 @@ class BftNode:
 
     def activate(self, from_log_index: int = 0) -> None:
         self.active = True
+        self._answer = self.tob.answer(self.c_cur, self._frozen_at, self._answer)
         self.tob.subscribe(self.id, self.on_tob_deliver, start=from_log_index)
 
     def retire(self) -> None:
@@ -231,6 +236,7 @@ class BftNode:
         applying the ordered log where it stands."""
         if Behavior.DROP_MESSAGES in behaviors and self.active:
             self._frozen_at = self.tob.delivered
+            self._answer = self.tob.answer(self.c_cur, self._frozen_at, self._answer)
         self.behaviors.update(behaviors)
         self.adversary = adversary
 
@@ -250,10 +256,7 @@ class BftNode:
         self.c_cur = config
         self.c_last_voted = Configuration(*last_voted)
         if agreed_rank is not None:
-            self._agreed = list(self.tob.observed)[agreed_rank]
-            self._agreed_rank = agreed_rank
-        self._agreed_at = None
-        self.vote_check_due = True
+            self._answer = Answer(list(self.tob.observed)[agreed_rank], agreed_rank)
         self.on_due()
         if self._is_byz(Behavior.DROP_MESSAGES):
             self._frozen_at = log_position
@@ -276,15 +279,20 @@ class BftNode:
         """The stored configuration as of the ledger's confirmed height."""
         return self.ledger.confirmed_config()
 
+    def due(self) -> bool:
+        """Whether a checkpoint would change anything: a request is pending, or
+        `c_cur` is `_t()` or more from `c_last_voted`, which `maybe_vote` moves."""
+        return bool(self.pending) or symmetric_difference(self.c_last_voted, self.c_cur) >= self._t()
+
     @property
     def _latest_cache(self) -> Configuration | None:
-        """The last answer, while no observation has been applied since and
-        neither `c_cur` nor the local view has changed."""
-        return self._agreed if self._agreed_at == self.tob.observations else None
+        """The answer, while no observation has been applied since it was computed."""
+        answer = self._answer
+        return answer.config if answer.at == self.tob.observations else None
 
     def latest_registry_config(self) -> Configuration:
-        """Highest-numbered stored configuration that enough current members
-        (plus this node's own local observation) have reported seeing.
+        """Highest-numbered stored configuration that f+1 current members have
+        reported seeing on the ordered log.
 
         Nothing at or below the last answer replaces it, and the last answer
         stands while no newer configuration has enough reports: it is genesis
@@ -297,24 +305,18 @@ class BftNode:
         the ledger stores only increase; so every entry at or below that rank
         has a number at or below the last answer's and could not replace it.
         """
-        cached = self._latest_cache
-        if cached is not None:
-            return cached
+        answer, observations = self._answer, self.tob.observations
+        if answer.at == observations:
+            return answer.config
         threshold = max_faults(self.c_cur.size) + 1
         members = self.c_cur.member_set
-        best, rank, first = self._agreed, self._agreed_rank, self._first_seen_stored
+        best, rank = answer.config, answer.rank
         start = 0 if rank is None else rank + 1
         entries = islice(self.tob.observed_at(self._log_position()).items(), start, None)
         for index, (config, observers) in enumerate(entries, start):
-            if config.number <= best.number:
-                continue
-            count = len(observers & members)
-            if first is not None and config.number >= first and self.id in members and self.id not in observers:
-                count += 1
-            if count >= threshold:
+            if config.number > best.number and len(observers & members) >= threshold:
                 best, rank = config, index
-        self._agreed, self._agreed_rank = best, rank
-        self._agreed_at = self.tob.observations
+        answer.config, answer.rank, answer.at = best, rank, observations
         return best
 
     # -- messaging ------------------------------------------------------------------
@@ -415,9 +417,6 @@ class BftNode:
         if number == self._last_seen_stored_key:
             return
         self._last_seen_stored_key = number
-        if self._first_seen_stored is None:
-            self._first_seen_stored = number
-        self._agreed_at = None
         # stored numbers only increase and a scenario never reuses a node id
         # (`ScenarioConfig.validate` rejects a rejoin), so each member reports
         # a number once and the report needs no key
@@ -438,7 +437,6 @@ class BftNode:
             if not self._still_applicable(req):
                 continue
             self._apply_request(req)
-        self.vote_check_due = False
         self.maybe_vote()
         if self.retired:
             self.retire()
@@ -449,13 +447,13 @@ class BftNode:
         return req.node in self.c_cur.member_set
 
     def _apply_request(self, req: ReconfigRequest) -> None:
-        self._agreed_at = None
         if req.kind == "join":
             self.c_cur = self.c_cur.with_member(req.node)
         else:
             self.c_cur = self.c_cur.without_member(req.node)
             if req.node == self.id:
                 self.retired = True  # finalized after the checkpoint loop
+        self._answer = self.tob.answer(self.c_cur, self._frozen_at, self._answer)
         self.monitor.node_reconfigured(self.id, self.c_cur, req.key(), self.sim.now, self._t())
         if req.kind == "join":
             self._send_final_response(req.node)
@@ -471,7 +469,7 @@ class BftNode:
             self.c_cur.members,
             self._log_position(),
             (self.c_last_voted.number, self.c_last_voted.members),
-            self._agreed_rank,
+            self._answer.rank,
         )
         sig = self.sim.auth.sign(self.id, body)
         self.sim.send(self.id, joiner, body + (self.id, sig))

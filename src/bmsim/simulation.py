@@ -238,15 +238,14 @@ class SimulationRun:
         self._checkpoint_due = True
 
     def _checkpoint_tick(self) -> None:
-        """Checkpoint, in creation order, each active replica with a pending
-        request or a vote check due; any other would change nothing (see
-        `BftNode.vote_check_due`).
+        """Checkpoint, in creation order, each active replica that is due
+        (`BftNode.due`); any other would change nothing.
 
         The flag starts up for the genesis replicas.  After that a replica
         becomes due only through `_enqueue` and `adopt` (which is also how a
-        joiner becomes active), and both raise the flag; a checkpointed
-        replica stays due only with requests still pending, and the walk
-        raises the flag for those.  So a tick with the flag down has no
+        joiner becomes active), and both raise the flag (`on_due`); a
+        checkpointed replica stays due only with requests still pending, and
+        the walk raises the flag for those.  So a tick with the flag down has no
         replica to visit and costs O(1), and a replica made due during a walk
         is visited by the next tick at the latest, as before.  Every tick
         re-arms the next at the same time either way, so ticks keep their
@@ -254,7 +253,7 @@ class SimulationRun:
         if self._checkpoint_due:
             self._checkpoint_due = False
             for node in self.nodes.values():
-                if node.active and (node.pending or node.vote_check_due):
+                if node.active and node.due():
                     node.on_checkpoint()
                     if node.pending:
                         self._checkpoint_due = True
@@ -280,13 +279,13 @@ class SimulationRun:
         correct active replica with nothing pending and its latest registry
         answer less than `_t()` from `c_cur`.
 
-        `latest_registry_config` latches each replica's answer, but asking it
-        here changes no later answer: while `c_cur` stays, the threshold and
-        the members stay, observer sets only grow and configurations rank in
-        the order of their numbers, so an answer asked late equals one asked
-        after every observation, and a replica that
-        changes `c_cur` through `on_checkpoint` asks before each apply
-        anyway.  So the walk may stop at the first replica that is not
+        `latest_registry_config` latches the answer the replicas holding one
+        `c_cur` share, but asking it here changes no later answer: while
+        `c_cur` stays, the threshold and the members stay, observer sets only
+        grow and configurations rank in the order of their numbers, so an
+        answer asked late equals one asked after every observation, and a
+        replica that changes `c_cur` through `on_checkpoint` asks before each
+        apply anyway.  So the walk may stop at the first replica that is not
         settled, after the ledger checks."""
         if self.ledger.pending_votes or not self.publication_confirmed():
             return False

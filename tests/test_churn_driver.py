@@ -1,23 +1,24 @@
 """Each generated scenario and each golden-matrix scenario runs twice: as the
 real run, with read-only shadows attached, and as a `ReferenceRun`, whose
 `PollingDriver` checks every 5 s from an op's start and never parks and whose
-checkpoint tick visits every replica.  The generated scenarios vary what
+checkpoint tick visits every due replica.  The generated scenarios vary what
 could move an event across a woken check or a skipped tick: checkpoint
 intervals under and over the 5 s grid, revote timeouts, TOB latency, every
 churn op, every corruption behaviour and pre-GST drops.  Outputs and
 checkpoint sequences must be equal, and the real driver must check less often.
+Each reference replica keeps a private registry answer, so the comparison also
+tests the answer the real replicas share through the log.
 
 The shadows change nothing the run reads later: `RecordedRun` wraps each
-replica's `on_checkpoint` and `_observe_confirmed_config` around the
-originals, keeping its own record; `ShadowedRun` only reads, apart from
-asking each replica's `latest_registry_config`, whose cache fields it
-restores.  Around every tick it checks agreement, no due replica at a skipped
-tick and each registry answer against a full scan; after the run, every pair
-of configurations it built or left alive is checked against plain sets, then
-again when rebuilt in reverse order after a collection, so that new objects
-may take old ids.  A failing check raises out of the run, and `oracle` hands
-the two runs of a scenario to every test of it here and in
-`test_golden_matrix.py`.
+replica's `on_checkpoint` around the original, keeping its own record;
+`ShadowedRun` only reads, apart from asking each replica's
+`latest_registry_config`, whose answer entry it restores.  Around every tick
+it checks agreement, no due replica at a skipped tick and each registry
+answer against a full scan; after the run, every pair of configurations it
+built or left alive is checked against plain sets, then again when rebuilt in
+reverse order after a collection, so that new objects may take old ids.  A
+failing check raises out of the run, and `oracle` hands the two runs of a
+scenario to every test of it here and in `test_golden_matrix.py`.
 """
 
 import functools
@@ -33,6 +34,7 @@ from bmsim import membership
 from bmsim.errors import ScenarioValidationError
 from bmsim.harness import result_csv_texts
 from bmsim.membership import Configuration, max_faults, overlap_ok, symmetric_difference
+from bmsim.node import Answer
 from bmsim.scenario import long_range_scenario, scenario_from_dict
 from bmsim.simulation import ChurnDriver, SimulationRun
 from test_golden_matrix import MATRIX
@@ -145,39 +147,44 @@ SCENARIOS = generated_scenarios()
 
 class RecordedRun(SimulationRun):
     """A run that records each replica's checkpoints, with the time and the
-    count of requests left pending, and the stored numbers it saw confirmed."""
+    count of requests left pending."""
 
     def __init__(self, scenario):
-        self.checkpoints, self.seen = [], {}
+        self.checkpoints = []
         super().__init__(scenario)
 
     def _make_node(self, node_id):
         node = super()._make_node(node_id)
-        on_checkpoint, observe = node.on_checkpoint, node._observe_confirmed_config
-        seen = self.seen[node_id] = {self.ledger.confirmed_config().number}
+        on_checkpoint = node.on_checkpoint
 
         def checkpointed():
             on_checkpoint()
             self.checkpoints.append((self.sim.now, node_id, len(node.pending)))
 
-        def observed():
-            observe()
-            seen.add(self.ledger.confirmed_config().number)
-
-        node.on_checkpoint, node._observe_confirmed_config = checkpointed, observed
+        node.on_checkpoint = checkpointed
         return node
 
 
+def answer(config, frozen_at, floor):
+    """A fresh entry at every call: each replica keeps its own answer."""
+    return Answer(floor.config, floor.rank)
+
+
 class ReferenceRun(RecordedRun):
-    """A run that polls instead of parking and visits every replica at every tick."""
+    """A run that polls instead of parking, visits every due replica at every
+    tick and gives each replica a private registry answer."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.driver = PollingDriver(self)
 
+    def _make_node(self, node_id):
+        self.tob.answer = answer   # before the first replica activates
+        return super()._make_node(node_id)
+
     def _checkpoint_tick(self) -> None:
         for node in self.nodes.values():
-            if node.active and (node.pending or node.vote_check_due):
+            if node.active and node.due():
                 node.on_checkpoint()
         self.sim.schedule_in(self.scenario.checkpoint_interval, self._checkpoint_tick, label="checkpoint")
 
@@ -203,7 +210,7 @@ class ShadowedRun(RecordedRun):
         self.ticks += 1
         if not self._checkpoint_due:
             self.skipped += 1
-            due = [n.id for n in self.nodes.values() if n.active and (n.pending or n.vote_check_due)]
+            due = [n.id for n in self.nodes.values() if n.active and n.due()]
             assert not due, f"t={self.sim.now}: {due}"
         self.check_agreement(self.admitted)
         self.check_registry_scans()
@@ -213,13 +220,19 @@ class ShadowedRun(RecordedRun):
 
     def check_agreement(self, exempt_from_last_voted) -> None:
         """The correct replicas that still apply the log hold one `c_cur`, one
-        pending queue and one `c_last_voted`; one admitted since the last tick
-        may hold an older `c_last_voted`, which its final response carried.
-        Configurations are interned, so equal keys are one object."""
+        pending queue, one registry answer entry and one `c_last_voted`; one
+        admitted since the last tick may hold an older `c_last_voted`, which
+        its final response carried.  A frozen replica reads an older table,
+        so it holds an entry of its own.  Configurations are interned, so
+        equal keys are one object."""
         group = [n for n in self.correct_active_nodes() if n._frozen_at is None]
         first = group[0]
         for node in group:
             assert (node.c_cur, node.pending) == (first.c_cur, first.pending), f"t={self.sim.now}: {node.id}"
+            assert node._answer is first._answer, f"t={self.sim.now}: {node.id}"
+        shared = [n.id for n in self.nodes.values()
+                  if n._frozen_at is not None and n._answer is first._answer]
+        assert not shared, f"t={self.sim.now}: frozen replicas share the answer: {shared}"
         voted = {n.c_last_voted for n in group if n.id not in exempt_from_last_voted}
         assert len(voted) <= 1, f"t={self.sim.now}: c_last_voted disagrees: {voted}"
 
@@ -230,35 +243,30 @@ class ShadowedRun(RecordedRun):
         for node in self.nodes.values():
             if not node.active:
                 continue
-            latch = node._agreed, node._agreed_rank, node._agreed_at
-            seen = self.seen[node.id]
+            entry = node._answer
+            latch = entry.config, entry.rank, entry.at
             inputs = (node.id, node.c_cur, node.c_last_voted, published, node._log_position(),
-                      node.tob.observations, *latch, len(seen))
+                      node.tob.observations, *latch)
             if inputs in self.asked:
                 continue
-            expected = full_scan_latest(node, seen)
+            expected = full_scan_latest(node)
             latest = self.asked[inputs] = node.latest_registry_config()
-            assert (latest, node._agreed_rank) == expected, f"t={self.sim.now}: {node.id}"
-            node._agreed, node._agreed_rank, node._agreed_at = latch
+            assert (latest, entry.rank) == expected, f"t={self.sim.now}: {node.id}"
+            entry.config, entry.rank, entry.at = latch
             for pair in ((latest, node.c_cur), (node.c_last_voted, node.c_cur), (published, latest)):
                 if pair not in self.pairs:
                     self.pairs.add(pair)
                     check_pair(*pair)
 
 
-def full_scan_latest(node, seen):
+def full_scan_latest(node):
     """`BftNode.latest_registry_config`'s answer and rank by a scan of the whole
-    observation table, with `seen` for the stored numbers it saw confirmed."""
+    observation table."""
     threshold = max_faults(node.c_cur.size) + 1
     members = set(node.c_cur.members)
-    best, rank = node._agreed, node._agreed_rank
+    best, rank = node._answer.config, node._answer.rank
     for index, (config, observers) in enumerate(node.tob.observed_at(node._log_position()).items()):
-        if config.number <= best.number:
-            continue
-        count = len(observers & members)
-        if node.id in members and node.id not in observers and config.number in seen:
-            count += 1
-        if count >= threshold:
+        if config.number > best.number and len(observers & members) >= threshold:
             best, rank = config, index
     return best, rank
 

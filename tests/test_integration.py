@@ -10,7 +10,7 @@ from bmsim import membership, simcore
 from bmsim.contract import RegistryContract
 from bmsim.errors import InvariantViolation
 from bmsim.membership import Configuration, Policy
-from bmsim.node import BftNode
+from bmsim.node import BftNode, TotalOrderBroadcast
 from bmsim.scenario import growth_scenario, long_range_scenario, scenario_from_dict
 from bmsim.simcore import AuthRegistry
 from bmsim.simulation import SimulationRun, run_scenario
@@ -163,9 +163,9 @@ def test_checkpoints_visit_replicas_with_work_and_payloads_encode_once(monkeypat
     monkeypatch.setattr(simcore, "encode", counted_encode)
     result = run_scenario(growth_scenario(Policy.EVERY, 4, 30, seed=1))
     assert result.completed
-    # each member applies each join once (429); the 4 founders and the 26
-    # joiners have a vote check due at their first checkpoint
-    assert len(checkpoints) == 429 + 4 + 26 == 459
+    # each member applies each join once (429); the 26 joiners have a vote
+    # check due at their first checkpoint, and the founders have none
+    assert len(checkpoints) == 429 + 26 == 455
     # one `register_confirm` and one final response body per join
     assert len(encoded) == 2 * 26 == 52
 
@@ -218,6 +218,27 @@ def test_events_per_join_over_n_do_not_rise_with_size():
         assert run.run().completed
         ratios.append(run.sim._seq / (n - 4) / n)
     assert ratios == sorted(ratios, reverse=True), ratios
+
+
+def test_registry_scans_per_join_do_not_grow_with_size(monkeypatch):
+    # the replicas holding one configuration share one registry answer, so
+    # the observation table is scanned about once per join whatever n
+    # (seed 1 gives 1.29, 1.22 and 1.28 on the `t1` growth from 4; 15.4,
+    # 27.8 and 52.8 when each replica scanned for itself)
+    scans = []
+    observed_at = TotalOrderBroadcast.observed_at
+
+    def counted(tob, position):
+        scans.append(position)
+        return observed_at(tob, position)
+
+    monkeypatch.setattr(TotalOrderBroadcast, "observed_at", counted)
+    per_join = []
+    for n in (25, 50, 100):
+        scans.clear()
+        assert run_scenario(growth_scenario(Policy.EVERY, 4, n, seed=1)).completed
+        per_join.append(round(len(scans) / (n - 4), 2))
+    assert max(per_join) <= 2, per_join
 
 
 def test_dropped_runs_leave_no_configuration_alive():

@@ -290,12 +290,16 @@ def test_backup_cancelled_after_publication_observed():
     node = h.nodes["n2"]  # rank 2, tier 1 backup
     h.order("join", "j1", h.confirm_proof("j1", [f"n{i}" for i in range(4)]))
     node.on_checkpoint()
-    # simulate the update landing and being observed before the backup fires
+    # the responsible voters' votes land and are confirmed before the backup
+    # fires (inclusion plus 37 confirmations of about 15 s)
     target = node.c_cur
-    h.contract.apply_vote(target, "n0")
-    h.contract.apply_vote(target, "n1")
-    h.ledger.config_log.append((0, h.contract.c_cur))
+    for voter in ("n0", "n1"):
+        h.ledger.submit_tx(
+            LedgerTransaction(kind="vote", submitter=voter, submitted_at=0.0, config=target)
+        )
+    h.ledger.start()
     h.sim.run(until=node.params.revote_timeout + 5.0)
+    assert node.published() is target
     votes = [r for r in h.ledger.records.values() if r.tx.kind == "vote"]
     assert node.id not in {r.tx.submitter for r in votes}
 
@@ -325,9 +329,10 @@ def test_silent_behavior_drops_everything():
 
 
 def test_adopted_replica_checks_its_vote_at_first_checkpoint(monkeypatch):
-    # the responders last voted at genesis and the joiner's configuration is
-    # t = 1 away from it: the tick must visit the joiner though nothing is
-    # pending, or its vote gate drifts from the responders'
+    # the founders' first checkpoint would change nothing, so the first tick
+    # visits none; the responders last voted at genesis and the joiner's
+    # configuration is t = 1 away from it: the tick must visit the joiner
+    # though nothing is pending, or its vote gate drifts from the responders'
     visited = []
     checkpoint = BftNode.on_checkpoint
 
@@ -338,7 +343,7 @@ def test_adopted_replica_checks_its_vote_at_first_checkpoint(monkeypatch):
     monkeypatch.setattr(BftNode, "on_checkpoint", counted)
     run = SimulationRun(growth_scenario(Policy.EVERY, 4, 5, seed=1))
     run._checkpoint_tick()
-    assert visited == list(run.genesis.members)
+    assert visited == []
     joiner = run._make_node("j1")
     config = run.genesis.with_member("j1")
     joiner.adopt(b"app:0", config, 0, run.genesis.key(), None)
@@ -360,16 +365,16 @@ def test_node_built_mid_run_starts_from_confirmed_config():
     h.sim.run(until=1500.0)  # inclusion plus 37 confirmations of about 15 s
     assert h.ledger.confirmed_config() == target
     late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
-    assert late._first_seen_stored == target.number
     assert late.latest_registry_config() == target
     assert late._last_seen_stored_key == target.number
 
 
-def test_own_confirmed_observation_counts_toward_the_quorum(monkeypatch):
-    """f = 1, so a configuration needs two reports from current members.  A
-    member with no report in the table that saw the configuration confirmed,
-    from genesis or from when it was built, counts its own observation; the
-    one member whose report is there counts it only once."""
+def test_replicas_answer_alike_from_the_ordered_log(monkeypatch):
+    """f = 1, so a configuration needs two reports from current members.  The
+    answer is a function of the ordered log: a member that saw the
+    configuration confirmed but has no report in the table counts nothing
+    for it, so n0, the one reporter n1 and a joiner built after the
+    confirmation answer alike, and the founders share one answer."""
     h = Harness()
     target = Configuration(1, h.genesis.members + ("j1",))
     for voter in ("n0", "n1"):
@@ -383,10 +388,12 @@ def test_own_confirmed_observation_counts_toward_the_quorum(monkeypatch):
     assert h.ledger.confirmed_config() is target
     late = BftNode(h.sim, "j1", h.tob, h.ledger, h.genesis, NodeParams(), h.monitor)
     late.adopt(b"app:0", target, h.tob.delivered, target.key(), None)
+    replicas = (h.nodes["n0"], h.nodes["n1"], late)
     h.observe(target, "n1")
-    assert h.nodes["n0"].latest_registry_config() is target
-    assert late.latest_registry_config() is target
-    assert h.nodes["n1"].latest_registry_config() is h.genesis
+    assert [node.latest_registry_config() for node in replicas] == [h.genesis] * 3
+    assert h.nodes["n0"]._answer is h.nodes["n1"]._answer is not late._answer
+    h.observe(target, "n2")
+    assert [node.latest_registry_config() for node in replicas] == [target] * 3
 
 
 def test_when_a_replica_is_asked_does_not_change_its_answer(monkeypatch):
@@ -394,16 +401,15 @@ def test_when_a_replica_is_asked_does_not_change_its_answer(monkeypatch):
     sets only grow, so a replica asked after every observation ends with the
     answer and rank of one asked only at the end.  f = 2, so a configuration
     needs three reports; the asked replica n0 saw configuration 1 confirmed,
-    so its own observation counts for each configuration it has not
-    reported.  Reports come in the order of their numbers, as confirmations
-    do."""
+    which counts nothing beyond its report.  Reports come in the order of
+    their numbers, as confirmations do."""
     c1 = Configuration(1, genesis(7).members + ("j1",))
     c2 = Configuration(2, c1.members + ("j2",))
     c3 = Configuration(3, c2.members + ("j3",))
     reports = [
         (c1, "n0"), (c2, "n2"), (c1, "n2"),
-        (c1, "n3"),    # three reports, n0's among them: no own-observation term
-        (c2, "n3"),    # two reports and n0's own observation
+        (c1, "n3"),    # three reports, n0's among them
+        (c2, "n3"),    # two reports
         (c3, "n4"), (c1, "n4"),
     ]
 
@@ -418,18 +424,18 @@ def test_when_a_replica_is_asked_does_not_change_its_answer(monkeypatch):
             h.ledger.start()
             h.sim.run(until=1500.0)
         node = h.nodes["n0"]
-        assert node._first_seen_stored == 1 and node.c_cur is h.genesis
+        assert node._last_seen_stored_key == 1 and node.c_cur is h.genesis
         answers = []
         for config, observer in reports:
             h.observe(config, observer)
             if ask_each:
                 answers.append(node.latest_registry_config())
-        return answers, node.latest_registry_config(), node._agreed_rank
+        return answers, node.latest_registry_config(), node._answer.rank
 
     answers, eager, eager_rank = replay(ask_each=True)
-    assert answers == [genesis(7)] * 3 + [c1, c2, c2, c2]
+    assert answers == [genesis(7)] * 3 + [c1] * 4
     _, lazy, lazy_rank = replay(ask_each=False)
-    assert (eager, eager_rank) == (lazy, lazy_rank) == (c2, 1)
+    assert (eager, eager_rank) == (lazy, lazy_rank) == (c1, 0)
 
 
 def test_monitor_rejects_checkpoint_latency_beyond_interval():

@@ -95,7 +95,7 @@ class AdversaryController:
         else:
             node.corrupt(entry.behaviors, self)
         self.monitor.mark_byzantine(entry.node)
-        self.monitor.note(f"corrupted {entry.node}")
+        self.monitor.note("corrupted %s", entry.node)
         if len(self._activated) == len(self.entries):
             self.all_activated_at = self.sim.now
 

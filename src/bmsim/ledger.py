@@ -12,6 +12,7 @@ executed, if any.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,6 +123,8 @@ class Ledger:
         self.confirmed_height = 0
         self.records: dict[int, TxRecord] = {}
         self._pending: list[int] = []
+        # the earliest `ready_at` in `_pending`: no block before it executes any
+        self._next_ready = math.inf
         self.pending_votes = 0     # vote transactions submitted, not yet executed
         self._tx_ids = itertools.count(1)
         # (height, config) for every stored-configuration change, genesis
@@ -147,18 +150,20 @@ class Ledger:
         self._schedule_next_block()
 
     def _schedule_next_block(self) -> None:
-        interval = self.block_interval.draw(self.sim.rng)
-        self.sim.schedule_in(interval, self._produce_block, label="block")
+        sim = self.sim
+        sim.schedule(sim.now + self.block_interval.draw(sim.rng), self._produce_block, "block")
 
     # -- transactions ----------------------------------------------------------
 
     def submit_tx(self, tx: LedgerTransaction) -> int:
         delay = self.inclusion_delay.draw(self.sim.rng)
         tx_id = next(self._tx_ids)
+        ready_at = tx.submitted_at + delay
         self.records[tx_id] = TxRecord(
-            tx_id=tx_id, tx=tx, ready_at=tx.submitted_at + delay, inclusion_delay=delay
+            tx_id=tx_id, tx=tx, ready_at=ready_at, inclusion_delay=delay
         )
         self._pending.append(tx_id)
+        self._next_ready = min(self._next_ready, ready_at)
         if tx.kind == "vote":
             self.pending_votes += 1
         return tx_id
@@ -167,15 +172,20 @@ class Ledger:
         height = len(self.block_times)
         stored_before = len(self.config_log)
         votes_before = self.pending_votes
-        still_pending = []
-        for tx_id in self._pending:
-            record = self.records[tx_id]
-            if record.ready_at <= self.sim.now:
-                self._execute(record, height)
-            else:
-                still_pending.append(tx_id)
-        self._pending = still_pending
-        self.block_times.append(self.sim.now)
+        now = self.sim.now
+        if self._next_ready <= now:
+            still_pending = []
+            next_ready = math.inf
+            for tx_id in self._pending:
+                record = self.records[tx_id]
+                if record.ready_at <= now:
+                    self._execute(record, height)
+                else:
+                    still_pending.append(tx_id)
+                    next_ready = min(next_ready, record.ready_at)
+            self._pending = still_pending
+            self._next_ready = next_ready
+        self.block_times.append(now)
         self.confirmed_height = max(0, height - self.confirmation_depth)
         self.contract.check_conservation()
         if len(self.config_log) > stored_before:

@@ -67,6 +67,8 @@ class Configuration(metaclass=_Interned):
     number: int
     members: tuple[NodeId, ...]
     v: int = field(init=False)
+    # the member count, read on every threshold and quorum test
+    size: int = field(init=False, repr=False)
     # (node, joining) -> the successor `with_member`/`without_member` built
     _successors: dict = field(default_factory=dict, init=False, repr=False)
     # higher-numbered configuration -> the count of members both hold
@@ -77,11 +79,8 @@ class Configuration(metaclass=_Interned):
             raise InvalidInputError(f"duplicate members in configuration {self.number}")
         if not self.members:
             raise InvalidInputError("configuration must have at least one member")
-        object.__setattr__(self, "v", max_faults(len(self.members)) + 1)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+        object.__setattr__(self, "size", len(self.members))
+        object.__setattr__(self, "v", max_faults(self.size) + 1)
 
     def key(self) -> tuple[int, tuple[NodeId, ...]]:
         """Identity used when counting votes: number plus exact member list."""

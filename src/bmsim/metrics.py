@@ -108,8 +108,9 @@ class RunMonitor:
     def mark_byzantine(self, node: NodeId) -> None:
         self.byzantine.add(node)
 
-    def note(self, message: str) -> None:
-        self.sim.note(message)
+    def note(self, message: str, *args) -> None:
+        """Add `message % args` to the engine's trace, formatted only if read."""
+        self.sim.note(message, *args)
 
     # -- join lifecycle -----------------------------------------------------------
 
@@ -140,7 +141,7 @@ class RunMonitor:
     def node_reconfigured(
         self, node: NodeId, config: Configuration, req_key: tuple, at: float, t: int
     ) -> None:
-        self.note(f"{node} -> config {config.number} ({len(config.members)})")
+        self.note("%s -> config %s (%s)", node, config.number, config.size)
         if node in self.byzantine:
             return
         seen = self._config_table.setdefault(config.number, config)
@@ -177,7 +178,7 @@ class RunMonitor:
                 )
 
     def vote_submitted(self, node: NodeId, config: Configuration, at: float) -> None:
-        self.note(f"{node} votes for {config.number}")
+        self.note("%s votes for %s", node, config.number)
 
     # -- client -------------------------------------------------------------------------
 

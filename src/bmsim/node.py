@@ -139,7 +139,10 @@ class TotalOrderBroadcast:
         `config`, when it asks does not change its answer, and `on_checkpoint`
         asks before each apply.  A new one starts from `floor`, the answer its
         first holder held."""
-        return self.answers.setdefault((config, frozen_at), Answer(floor.config, floor.rank))
+        answer = self.answers.get((config, frozen_at))
+        if answer is None:
+            answer = self.answers[config, frozen_at] = Answer(floor.config, floor.rank)
+        return answer
 
     def subscribe(self, node_id: NodeId, callback: Callable[[int, tuple], None], start: int = 0) -> None:
         self._subscribers[node_id] = callback
@@ -341,7 +344,11 @@ class BftNode:
         return self.retired and self.id in self.published().members
 
     def _on_register_announce(self, joiner: NodeId) -> None:
-        if not self._serves_announce():
+        # A waiting joiner's registration is unconfirmed: the block that
+        # confirms a registration calls `on_ledger_advance` on every replica,
+        # which confirms and drops every joiner waiting there.  So a repeat
+        # announce would confirm nothing, and the joiner keeps its place.
+        if joiner in self._announce_waiting or not self._serves_announce():
             return
         self._announce_waiting[joiner] = None
         self._maybe_confirm(joiner)
@@ -408,8 +415,9 @@ class BftNode:
         """Called at each block that confirms a stored configuration or an
         accepted registration."""
         self._observe_confirmed_config()
-        for joiner in list(self._announce_waiting):
-            self._maybe_confirm(joiner)
+        if self._announce_waiting:
+            for joiner in list(self._announce_waiting):
+                self._maybe_confirm(joiner)
 
     def _observe_confirmed_config(self) -> None:
         stored = self.ledger.confirmed_config()
@@ -562,9 +570,11 @@ class JoinerAgent:
     def _announce(self) -> None:
         if self.proof_done_at is not None:
             return
+        sim, node_id = self.sim, self.node.id
+        payload = ("register_announce", node_id)
         for member in self.c_read.members:
-            self.sim.send(self.node.id, member, ("register_announce", self.node.id))
-        self.sim.schedule_in(self.ANNOUNCE_RETRY, self._announce, label="announce-retry")
+            sim.send(node_id, member, payload)
+        sim.schedule_in(self.ANNOUNCE_RETRY, self._announce, label="announce-retry")
 
     def handle_envelope(self, env: Envelope) -> None:
         kind = env.payload[0]
@@ -599,10 +609,11 @@ class JoinerAgent:
         if self.admitted:
             return
         self.attempt += 1
+        sim, node_id = self.sim, self.node.id
         proof = tuple(sorted(self.confirmations.items()))
-        payload = ("join_request", self.node.id, self.attempt, proof)
+        payload = ("join_request", node_id, self.attempt, proof)
         for member in self.c_read.members:
-            self.sim.send(self.node.id, member, payload)
+            sim.send(node_id, member, payload)
         self.node.monitor.join_request_sent(self.node.id, self.sim.now)
         self.sim.schedule_in(self.REQUEST_RETRY, self._maybe_resend, label="request-retry")
 
@@ -640,8 +651,9 @@ class LeaverAgent:
 
     def start(self) -> None:
         self.attempt += 1
-        sig = self.sim.auth.sign(self.node.id, ("leave_request", self.node.id))
-        payload = ("leave_request", self.node.id, self.attempt, sig)
+        sim, node_id = self.sim, self.node.id
+        sig = sim.auth.sign(node_id, ("leave_request", node_id))
+        payload = ("leave_request", node_id, self.attempt, sig)
         for member in self.node.c_cur.members:
-            if member != self.node.id:
-                self.sim.send(self.node.id, member, payload)
+            if member != node_id:
+                sim.send(node_id, member, payload)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from bmsim.canonical import encode
@@ -37,11 +37,23 @@ class NetworkConfig:
             raise InvalidInputError("drop probability must be within [0, 1]")
 
 
-@dataclass(slots=True)
 class Envelope:
-    sender: str
-    receiver: str
-    payload: tuple
+    """A message in flight.  The event that delivers it is the envelope
+    itself: called at its delivery time, it hands itself to the receiver's
+    handler as registered then, or to none if the receiver has none."""
+
+    __slots__ = ("sender", "receiver", "payload", "_handlers")
+
+    def __init__(self, sender: str, receiver: str, payload: tuple, handlers: dict):
+        self.sender = sender
+        self.receiver = receiver
+        self.payload = payload
+        self._handlers = handlers
+
+    def __call__(self) -> None:
+        handler = self._handlers.get(self.receiver)
+        if handler is not None:
+            handler(self)
 
 
 class AuthRegistry:
@@ -51,55 +63,54 @@ class AuthRegistry:
     the (node, payload) pair it was produced over.  Nodes may sign arbitrary
     payloads of their own but can never produce another node's tag.
 
+    A tag is hash-then-sign: `sha256(secret | sha256(encode(payload)))`.
     Many signers sign the same payload (every responder signs one final join
     response body, and the joiner verifies each tag over it), so each
-    distinct payload is encoded once per run and its bytes are kept.  The
-    memo is keyed by the payload itself, so a lookup is one C-level hash and
-    equality test; the member tuples of a final response body are the
-    interned configuration's own tuple, so equality skips them by identity.
-    Values that compare equal can still encode differently (`True`, `1` and
-    `1.0`; `0.0` and `-0.0`), so a payload that finds an equal key but is
-    not the object stored with it must also pass `_same_encoding`, and each
-    such variant keeps its own bytes.  A payload that cannot be hashed (one
-    holding a list) is encoded without the memo.
+    distinct payload is encoded and hashed once per run and the memo keeps
+    its 32-byte digest; a sign or verify then hashes 65 bytes, however long
+    the payload.  The memo is keyed by the payload itself, so a lookup is one
+    C-level hash and equality test; the member tuples of a final response
+    body are the interned configuration's own tuple, so equality skips them
+    by identity.  Values that compare equal can still encode differently
+    (`True`, `1` and `1.0`; `0.0` and `-0.0`), so a payload that finds an
+    equal key but is not the object stored with it must also pass
+    `_same_encoding`, and each such variant keeps its own digest.  A payload
+    that cannot be hashed (one holding a list) is encoded without the memo.
     """
 
     def __init__(self, seed: int):
         self._seed = seed
         self._secrets: dict[str, bytes] = {}
-        # payload -> [(exact variant, encode(variant)), ...]
-        self._encoded: dict[tuple, list[tuple[tuple, bytes]]] = {}
+        # payload -> [(exact variant, sha256 digest of encode(variant)), ...]
+        self._digests: dict[tuple, list[tuple[tuple, bytes]]] = {}
 
     def register(self, node_id: str) -> None:
         if node_id not in self._secrets:
             material = f"{self._seed}:{node_id}".encode()
             self._secrets[node_id] = hashlib.sha256(material).digest()
 
-    def known(self, node_id: str) -> bool:
-        return node_id in self._secrets
-
     def sign(self, node_id: str, payload) -> str:
         secret = self._secrets.get(node_id)
         if secret is None:
             raise InvalidInputError(f"unknown node {node_id!r}")
-        return hashlib.sha256(secret + b"|" + self._encode(payload)).hexdigest()
+        return hashlib.sha256(secret + b"|" + self._digest(payload)).hexdigest()
 
     def verify(self, node_id: str, payload, tag: str) -> bool:
         if node_id not in self._secrets:
             raise InvalidInputError(f"unknown node {node_id!r}")
         return self.sign(node_id, payload) == tag
 
-    def _encode(self, payload) -> bytes:
+    def _digest(self, payload) -> bytes:
         try:
-            variants = self._encoded.get(payload)
+            variants = self._digests.get(payload)
         except TypeError:   # unhashable
-            return encode(payload)
-        for variant, encoded in variants or ():
+            return hashlib.sha256(encode(payload)).digest()
+        for variant, digest in variants or ():
             if variant is payload or _same_encoding(variant, payload):
-                return encoded
-        encoded = encode(payload)
-        self._encoded.setdefault(payload, []).append((payload, encoded))
-        return encoded
+                return digest
+        digest = hashlib.sha256(encode(payload)).digest()
+        self._digests.setdefault(payload, []).append((payload, digest))
+        return digest
 
 
 def _same_encoding(a, b) -> bool:
@@ -132,7 +143,9 @@ class SimulationCore:
 
     Events fire in (time, insertion sequence) order.  The last `TRACE_LEN`
     dispatched events stay in a ring that `SimulationRun` appends to every
-    invariant-violation message.
+    invariant-violation message: each as its popped queue entry
+    `(at, seq, label, fn)`, and each note as `(at, None, text, args)`, which
+    `trace` formats when it is read.
     """
 
     def __init__(self, seed: int, network: NetworkConfig | None = None):
@@ -147,14 +160,14 @@ class SimulationCore:
         self._seq = 0
         self._handlers: dict[str, Callable[[Envelope], None]] = {}
         self._deliver_labels: dict[str, str] = {}   # message kind -> event label
-        self._ring: deque[tuple[SimTime, str]] = deque(maxlen=TRACE_LEN)
+        self._ring: deque[tuple] = deque(maxlen=TRACE_LEN)
 
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, at: SimTime, fn: Callable[[], None], label: str = "event") -> None:
         if at < self.now:
             raise InvalidInputError(f"cannot schedule at {at} before now {self.now}")
-        heapq.heappush(self._heap, (at, self._seq, label, fn))
+        heappush(self._heap, (at, self._seq, label, fn))
         self._seq += 1
 
     def schedule_in(self, delay: SimTime, fn: Callable[[], None], label: str = "event") -> None:
@@ -163,28 +176,35 @@ class SimulationCore:
     def run(self, until: SimTime | None = None) -> None:
         heap, record = self._heap, self._ring.append
         last = self._seq + RUN_EVENT_BUDGET
+        limit = math.inf if until is None else until
         while heap:
-            if until is not None and heap[0][0] > until:
+            if heap[0][0] > limit:
                 self.now = until
                 return
-            at, seq, label, fn = heapq.heappop(heap)
+            entry = heappop(heap)
+            at, seq, _, fn = entry
             if seq > last:
                 raise InvariantViolation(
                     f"event budget exhausted: over {RUN_EVENT_BUDGET:,} events "
                     f"scheduled during one run call (t={at:.6f})"
                 )
             self.now = at
-            record((at, label))
+            record(entry)
             fn()
 
-    def note(self, text: str) -> None:
-        """Add a line to the trace at the current time."""
-        self._ring.append((self.now, text))
+    def note(self, text: str, *args) -> None:
+        """Add a line to the trace at the current time: `text % args`, formatted
+        when the trace is read, or `text` as it is if no `args` are given."""
+        self._ring.append((self.now, None, text, args))
 
     @property
     def trace(self) -> list[tuple[SimTime, str]]:
-        """The last `TRACE_LEN` dispatched events and notes, oldest first."""
-        return list(self._ring)
+        """The last `TRACE_LEN` dispatched events and notes, oldest first, as
+        (time, label or note text) pairs."""
+        return [
+            (at, text % args if seq is None and args else text)
+            for at, seq, text, args in self._ring
+        ]
 
     # -- messaging ----------------------------------------------------------
 
@@ -194,7 +214,7 @@ class SimulationCore:
 
     def send(self, sender: str, receiver: str, payload: tuple) -> None:
         """Queue a message for delivery under the synchrony model."""
-        if not self.auth.known(sender):
+        if sender not in self.auth._secrets:   # registered ids
             raise InvalidInputError(f"unknown sender {sender!r}")
         now, net = self.now, self.network
         if now >= net.gst:
@@ -210,13 +230,7 @@ class SimulationCore:
         label = self._deliver_labels.get(kind)
         if label is None:
             label = self._deliver_labels[kind] = f"deliver:{kind}"
-        env = Envelope(sender, receiver, payload)
-        self.schedule(deliver_at, functools.partial(self._deliver, env), label)
-
-    def _deliver(self, env: Envelope) -> None:
-        handler = self._handlers.get(env.receiver)
-        if handler is not None:
-            handler(env)
+        self.schedule(deliver_at, Envelope(sender, receiver, payload, self._handlers), label)
 
 
 # ---------------------------------------------------------------------------

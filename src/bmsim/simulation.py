@@ -257,9 +257,8 @@ class SimulationRun:
                     node.on_checkpoint()
                     if node.pending:
                         self._checkpoint_due = True
-        self.sim.schedule_in(
-            self.scenario.checkpoint_interval, self._checkpoint_tick, label="checkpoint"
-        )
+        sim = self.sim
+        sim.schedule(sim.now + self.scenario.checkpoint_interval, self._checkpoint_tick, "checkpoint")
 
     # -- quiescence -------------------------------------------------------------------
 

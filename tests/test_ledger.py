@@ -66,6 +66,36 @@ def test_tx_included_in_first_block_after_ready():
     assert ledger.block_times[record.included_height - 1] < record.ready_at
 
 
+class ScriptedDelays:
+    """Inclusion delays handed out in submission order."""
+
+    def __init__(self, *delays):
+        self.delays = list(delays)
+
+    def draw(self, rng):
+        return self.delays.pop(0)
+
+
+def test_txs_execute_in_the_first_block_at_or_after_their_ready_time():
+    sim, ledger = make_ledger(seed=6)
+    # a is ready at 100; b, submitted later, at 30, first of all; c at 60,
+    # so the block that executes b leaves two waiting; d is submitted while
+    # a and c wait, and is ready with a
+    ledger.inclusion_delay = ScriptedDelays(100.0, 20.0, 40.0, 60.0)
+    ids = {}
+    for node, at in (("a", 0.0), ("b", 10.0), ("c", 20.0), ("d", 40.0)):
+        sim.schedule(at, lambda node=node, at=at: ids.setdefault(node, ledger.submit_tx(register_tx(node, 100, at))))
+    run_until_blocks(sim, ledger, 20)
+    records = {node: ledger.records[tx_id] for node, tx_id in ids.items()}
+    assert [records[n].ready_at for n in "abcd"] == [100.0, 30.0, 60.0, 100.0]
+    for record in records.values():
+        height = record.included_height
+        assert ledger.block_times[height - 1] < record.ready_at <= ledger.block_times[height]
+    heights = [records[n].included_height for n in "bca"]
+    assert heights == sorted(set(heights))
+    assert tx_ids(ledger, records["a"].included_height) == [ids["a"], ids["d"]]
+
+
 def test_inclusion_delay_mean_matches_target():
     sim, ledger = make_ledger(seed=9)
     draws = [ledger.inclusion_delay.draw(sim.rng) for _ in range(1000)]

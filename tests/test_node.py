@@ -328,6 +328,42 @@ def test_silent_behavior_drops_everything():
     assert submitted == []
 
 
+def test_repeat_announce_waits_until_the_registration_confirms(monkeypatch):
+    h = Harness()
+    node = h.nodes["n0"]
+    confirms = []
+    send = h.sim.send
+
+    def recording_send(sender, receiver, payload):
+        if payload[0] == "register_confirm":
+            confirms.append((sender, receiver))
+        send(sender, receiver, payload)
+
+    monkeypatch.setattr(h.sim, "send", recording_send)
+    for joiner in ("j1", "j2"):
+        h.ledger.submit_tx(
+            LedgerTransaction(kind="register", submitter=joiner, submitted_at=0.0, node=joiner, fee=100)
+        )
+    h.ledger.start()
+    node._on_register_announce("j1")
+    node._on_register_announce("j2")
+    # before the registration confirms, a repeat changes nothing
+    state = h.sim.rng.getstate()
+    node._on_register_announce("j1")
+    assert list(node._announce_waiting) == ["j1", "j2"]
+    assert confirms == [] and h.sim.rng.getstate() == state
+    # the confirming block confirms each waiting joiner once
+    while not all(h.ledger.registration_confirmed(j) for j in ("j1", "j2")):
+        h.sim.run(until=h.sim.now + 15.0)
+    assert sorted(confirms) == [("n0", "j1"), ("n0", "j2")]
+    assert not node._announce_waiting
+    # a repeat after that is answered again, once
+    confirms.clear()
+    node._on_register_announce("j1")
+    assert confirms == [("n0", "j1")]
+    assert not node._announce_waiting
+
+
 def test_adopted_replica_checks_its_vote_at_first_checkpoint(monkeypatch):
     # the founders' first checkpoint would change nothing, so the first tick
     # visits none; the responders last voted at genesis and the joiner's

@@ -7,6 +7,7 @@ import pytest
 from bmsim.canonical import encode
 from bmsim.errors import InvalidInputError
 from bmsim.simcore import (
+    TRACE_LEN,
     AuthRegistry,
     NetworkConfig,
     SimulationCore,
@@ -101,6 +102,46 @@ def test_identical_seed_identical_trace():
         return sim.trace
 
     assert run_once() == run_once()
+
+
+def test_trace_pairs_events_and_notes_and_keeps_the_last_entries():
+    class Number:
+        formatted = 0
+
+        def __str__(self):
+            Number.formatted += 1
+            return "3"
+
+    sim = SimulationCore(seed=1)
+    sim.schedule(1.0, lambda: sim.note("%s -> config %s", "n1", Number()), label="first")
+    sim.schedule(2.0, lambda: sim.note("100% of 5%s"), label="second")
+    sim.run()
+    assert Number.formatted == 0   # notes are formatted when the trace is read
+    assert sim.trace == [(1.0, "first"), (1.0, "n1 -> config 3"), (2.0, "second"), (2.0, "100% of 5%s")]
+    assert Number.formatted == 1
+    for i in range(TRACE_LEN + 5):
+        sim.schedule(3.0 + i, lambda: None, label=f"event {i}")
+    sim.run()
+    assert sim.trace == [(3.0 + i, f"event {i}") for i in range(5, TRACE_LEN + 5)]
+
+
+def test_message_goes_to_the_handler_registered_at_delivery():
+    sim = SimulationCore(seed=1)
+    got = []
+    sim.register_handler("b", lambda env: got.append(("old", env.payload)))
+    sim.auth.register("a")
+    sim.send("a", "b", ("ping",))
+    sim.register_handler("b", lambda env: got.append(("new", env.sender, env.receiver, env.payload)))
+    sim.send("a", "c", ("lost",))   # no handler for "c"
+    sim.run()
+    assert got == [("new", "a", "b", ("ping",))]
+
+
+def test_unknown_sender_rejected():
+    sim = SimulationCore(seed=1)
+    sim.register_handler("b", lambda env: None)
+    with pytest.raises(InvalidInputError, match="unknown sender"):
+        sim.send("ghost", "b", ("ping",))
 
 
 def test_truncated_normal_hits_target_mean():
